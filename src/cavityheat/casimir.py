@@ -35,7 +35,13 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from .asymptotics import weighted_power_fit
-from .spectrum import CutoffTooLowError, ModeList, TailCorrected, TAIL_DENSITY_RELERR
+from .spectrum import (
+    CutoffTooLowError,
+    ModeList,
+    TailCorrected,
+    TAIL_DENSITY_RELERR,
+    smallest_usable,
+)
 
 __all__ = [
     "RegulatorKind",
@@ -68,26 +74,28 @@ class RegulatorKind(enum.Enum):
         return np.exp(-np.sqrt(gamma * lam))
 
 
-def _regulated_tail(modes, gamma, kind):
-    """Smooth-density estimate of the regulated sum above the cutoff.
+def _regulated_parts(modes, gamma, kind):
+    """Raw regulated sum over the list and its smooth-density tail.
 
-    Closed forms of int_W^inf (c2 w^2 + c1 w) * w * regulator dw with
-    the two-term calibrated density.
+    The tail is the closed form of int_W^inf (c2 w^2 + c1 w) * w *
+    regulator dw with the two-term calibrated density.
     """
-    c2, c1 = modes.density_coefficients()
+    w = kind.weight(gamma, modes.lam)
+    raw = math.fsum((modes.multiplicity * modes.omega * w).tolist())
+    c2, c1 = modes.density
     W = modes.omega_max
     if kind is RegulatorKind.HEAT:
         z = gamma * W * W
         term2 = c2 * 0.5 * (1.0 + z) * math.exp(-z) / gamma ** 2
         term1 = (c1 * 0.5 * gamma ** -1.5
                  * float(gammaincc(1.5, z)) * math.gamma(1.5))
-        return term2 + term1
+        return raw, term2 + term1
     s = math.sqrt(gamma)
     u = s * W
     term2 = c2 * math.exp(-u) * (W**3 / s + 3 * W**2 / s**2
                                  + 6 * W / s**3 + 6 / s**4)
     term1 = c1 * math.exp(-u) * (W**2 / s + 2 * W / s**2 + 2 / s**3)
-    return term2 + term1
+    return raw, term2 + term1
 
 
 def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
@@ -102,11 +110,7 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    w = kind.weight(gamma, modes.lam)
-    raw = math.fsum(
-        float(m) * om * wi
-        for m, om, wi in zip(modes.multiplicity, modes.omega, w))
-    tail = _regulated_tail(modes, gamma, kind)
+    raw, tail = _regulated_parts(modes, gamma, kind)
     if tail > rtol * raw:
         raise CutoffTooLowError(
             f"regulated-sum tail {tail:.3g} exceeds {rtol:g} * raw at "
@@ -118,18 +122,9 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
 
 
 def min_usable_gamma(modes: ModeList, kind: RegulatorKind, rtol=0.5):
-    """Smallest gamma with the regulated-sum tail below rtol * raw."""
-    lo, hi = 1e-10, 10.0
-    lam, mult = modes.lam, modes.multiplicity.astype(float)
-    om = modes.omega
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        raw = float(np.sum(mult * om * kind.weight(mid, lam)))
-        if _regulated_tail(modes, mid, kind) > rtol * raw:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest gamma at which regularized_sum accepts the point."""
+    return smallest_usable(lambda g: _regulated_parts(modes, g, kind),
+                           rtol, 1e-10, 10.0)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,13 @@ from .coefficients import (
 )
 from .geometry import QuadratureSpec, ellipsoid, sphere, torus
 from .geometry.identities import curvature_identity_residuals
-from .spectrum import ModeList, em_modes, form_modes, heat_trace_samples
+from .spectrum import (
+    CutoffTooLowError,
+    ModeList,
+    em_modes,
+    form_modes,
+    heat_trace_samples,
+)
 from .surfacefile import load_surface
 from .tables import consistency_report
 
@@ -70,6 +76,12 @@ class ToleranceFailure(Exception):
     def __init__(self, message, diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def _numerical_failure(message, diagnostics):
+    print(json.dumps({"error": message, "diagnostics": diagnostics},
+                     sort_keys=True), file=sys.stderr)
+    return 2
 
 
 def _sha256(path):
@@ -189,19 +201,9 @@ def _cmd_modes(args, parser):
         modes = em_modes(args.omega_max, args.radius)
     else:
         modes = form_modes(int(p), args.omega_max, args.radius)
-    if args.format == "json":
-        out = _out_dir(args) / f"modes_{p}.json"
-        rows = [{"family": str(f), "l": int(l), "m": int(m),
-                 "multiplicity": int(mu), "lambda": float(lam)}
-                for f, l, m, mu, lam in zip(modes.family, modes.l, modes.m,
-                                            modes.multiplicity, modes.lam)]
-        _write_json(out, {"schema_version": SCHEMA_VERSION,
-                          "radius": modes.radius,
-                          "omega_max": modes.omega_max, "modes": rows})
-    else:
-        out = _out_dir(args) / f"modes_{p}.csv"
-        modes.to_csv(out)
-        print(f"wrote {out}")
+    out = _out_dir(args) / f"modes_{p}.csv"
+    modes.to_csv(out)
+    print(f"wrote {out}")
     _write_json(_out_dir(args) / f"modes_{p}.manifest.json",
                 {**_manifest(args, [], t0),
                  "modes": {"rows": len(modes), "count": modes.count,
@@ -214,19 +216,12 @@ def _cmd_trace(args, parser):
     modes = ModeList.from_csv(args.modes)
     ts = np.geomspace(args.t_lo, args.t_hi, args.t_points)
     t, K, bound = heat_trace_samples(modes, ts, rtol=args.rtol)
-    if args.format == "json":
-        out = _out_dir(args) / "trace.json"
-        _write_json(out, {"schema_version": SCHEMA_VERSION,
-                          "samples": [{"t": float(a), "K": float(b),
-                                       "bound": float(c)}
-                                      for a, b, c in zip(t, K, bound)]})
-    else:
-        out = _out_dir(args) / "trace.csv"
-        with open(out, "w") as fh:
-            fh.write("t,K,bound\n")
-            for row in zip(t, K, bound):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        print(f"wrote {out}")
+    out = _out_dir(args) / "trace.csv"
+    with open(out, "w") as fh:
+        fh.write("t,K,bound\n")
+        for row in zip(t, K, bound):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    print(f"wrote {out}")
     _write_json(_out_dir(args) / "trace.manifest.json",
                 _manifest(args, [args.modes], t0))
     return 0
@@ -382,7 +377,6 @@ def build_parser():
     p.add_argument("--p", choices=_P_CHOICES, default="em")
     p.add_argument("--omega-max", type=float, default=60.0)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_out(p)
     p.set_defaults(func=_cmd_modes)
 
@@ -392,7 +386,6 @@ def build_parser():
     p.add_argument("--t-hi", type=float, default=0.06)
     p.add_argument("--t-points", type=int, default=40)
     p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_out(p)
     p.set_defaults(func=_cmd_trace)
 
@@ -440,9 +433,10 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ToleranceFailure as err:
-        print(json.dumps({"error": str(err), "diagnostics": err.diagnostics},
-                         sort_keys=True), file=sys.stderr)
-        return 2
+        return _numerical_failure(str(err), err.diagnostics)
+    except CutoffTooLowError as err:
+        return _numerical_failure(
+            str(err), {"minimum_usable": err.minimum_usable})
 
 
 if __name__ == "__main__":

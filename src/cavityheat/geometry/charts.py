@@ -14,7 +14,7 @@ parametrised the usual way carries tr L = +2/R and det L = +1/R^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -149,7 +149,6 @@ class SurfaceChart:
     periodic_v: bool
     normal_sign: int
     _derivs: object
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- construction --------------------------------------------------
 
@@ -225,23 +224,9 @@ class SurfaceChart:
         return self.deriv(0, 0)(u, v)
 
     @property
-    def has_symbolic(self):
-        return isinstance(self._derivs, _SymbolicDerivs)
-
-    @property
-    def symbolic_components(self):
-        if not self.has_symbolic:
-            raise ChartError(f"chart {self.name!r} has no symbolic form")
-        return self._derivs.components
-
-    @property
     def u_span(self):
         return self.u_range[1] - self.u_range[0]
 
     @property
     def v_span(self):
         return self.v_range[1] - self.v_range[0]
-
-    def contains(self, u, v):
-        return (self.u_range[0] <= u <= self.u_range[1]
-                and self.v_range[0] <= v <= self.v_range[1])

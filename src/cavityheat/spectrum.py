@@ -27,6 +27,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -178,14 +179,13 @@ def _zero_ladder(x_max, l_max):
         if len(prev) < 2:
             zeros.append(np.empty(0))
             continue
-        roots = _bisect_brackets(lambda x, _l=l: spherical_jn(_l, x),
-                                 prev[:-1], prev[1:])
+        roots = _bisect_brackets(partial(BESSEL.jl, l), prev[:-1], prev[1:])
         zeros.append(roots)
     return zeros
 
 
 def _derivative_family_roots(l, jl_zeros, x_max, f):
-    """Roots of f (= j_l' or (x j_l)') below x_max, l >= 1.
+    """Roots of f(l, .) (= j_l' or (x j_l)') below x_max, l >= 1.
 
     One root sits between the turning point sqrt(l(l+1)) and the first
     zero of j_l; after that, exactly one root between consecutive zeros.
@@ -196,7 +196,7 @@ def _derivative_family_roots(l, jl_zeros, x_max, f):
     keep = lo <= x_max
     if not np.any(keep):
         return np.empty(0)
-    roots = _bisect_brackets(f, lo[keep], hi[keep])
+    roots = _bisect_brackets(partial(f, l), lo[keep], hi[keep])
     return roots[roots <= x_max]
 
 
@@ -233,15 +233,10 @@ def _enumerate(families, omega_max, radius):
                 z1 = ladder[1]
                 parts.append(_rows_for_family("NEUMANN", 0, z1[z1 <= x_max], radius))
             elif len(zl):
-                roots = _derivative_family_roots(
-                    l, zl, x_max,
-                    lambda x, _l=l: spherical_jn(_l, x, derivative=True))
+                roots = _derivative_family_roots(l, zl, x_max, BESSEL.jl_prime)
                 parts.append(_rows_for_family("NEUMANN", l, roots, radius))
         if "TM" in families and l >= 1 and len(zl):
-            roots = _derivative_family_roots(
-                l, zl, x_max,
-                lambda x, _l=l: spherical_jn(_l, x)
-                + x * spherical_jn(_l, x, derivative=True))
+            roots = _derivative_family_roots(l, zl, x_max, BESSEL.riccati_prime)
             parts.append(_rows_for_family("TM", l, roots, radius))
     cols = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     return ModeList(radius=radius, omega_max=omega_max, **cols)
@@ -285,7 +280,7 @@ class ModeList:
     def __len__(self):
         return len(self.lam)
 
-    @property
+    @cached_property
     def omega(self):
         return np.sqrt(self.lam)
 
@@ -318,14 +313,15 @@ class ModeList:
 
     # -- truncation model ------------------------------------------------
 
-    def density_coefficients(self):
-        """Smooth density model dN ~ (c2 omega^2 + c1 omega) d omega.
+    @cached_property
+    def density(self):
+        """Smooth density model (c2, c1): dN ~ (c2 omega^2 + c1 omega) d omega.
 
         Calibrated against the counted staircase over the top of the
         enumerated range rather than taken from the growth law, which
         absorbs the surface correction empirically.  Falls back to the
         single leading term (and then to zero) when the list is too
-        small for a stable two-parameter fit.
+        small for a stable two-parameter fit.  Computed once per list.
         """
         w_hi = self.omega_max
         w_lo = TAIL_CALIBRATION_WINDOW * w_hi
@@ -341,17 +337,6 @@ class ModeList:
                                   (edges ** 2 - w_lo ** 2) / 2.0])
         (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
         return float(c2), float(c1)
-
-    def tail_density(self):
-        """Leading smooth-density constant c2 (dN ~ c2 omega^2 d omega)."""
-        return self.density_coefficients()[0]
-
-    def weyl_ratio(self, omega):
-        """N(omega) over the calibrated leading term (sanity check)."""
-        c = self.tail_density()
-        if c == 0.0:
-            raise ValueError("mode list too small for a density estimate")
-        return self.n_below(omega) / (c * omega ** 3 / 3.0)
 
     # -- persistence -------------------------------------------------------
 
@@ -455,14 +440,35 @@ def form_modes(p, omega_max, radius=1.0) -> ModeList:
 # traces
 # ---------------------------------------------------------------------------
 
-def _heat_tail(modes, t):
-    """Integral of (c2 w^2 + c1 w) exp(-t w^2) above the cutoff."""
-    c2, c1 = modes.density_coefficients()
+def smallest_usable(parts, rtol, lo, hi):
+    """Smallest x in (lo, hi] whose (raw, tail) = parts(x) passes the cut-off.
+
+    A point is usable when tail <= rtol * raw, the test the traces apply
+    before they raise CutoffTooLowError.  Geometric bisection runs until
+    (lo, hi) stops changing, i.e. until they are adjacent floats, so the
+    result is the trace's own boundary to the last bit.  The rounded
+    sqrt(lo * hi) never leaves [lo, hi], so the interval only shrinks
+    and the loop ends (after about 60 steps on [1e-10, 10]).
+    """
+    while True:
+        mid = math.sqrt(lo * hi)
+        raw, tail = parts(mid)
+        new = (mid, hi) if tail > rtol * raw else (lo, mid)
+        if new == (lo, hi):
+            return hi
+        lo, hi = new
+
+
+def _heat_parts(modes, t):
+    """K(t) over the list and the integral of (c2 w^2 + c1 w) exp(-t w^2)
+    above the cutoff."""
+    raw = math.fsum((modes.multiplicity * np.exp(-t * modes.lam)).tolist())
+    c2, c1 = modes.density
     W = modes.omega_max
     z = t * W * W
     term2 = c2 * 0.5 * t ** -1.5 * gammaincc(1.5, z) * math.gamma(1.5)
     term1 = c1 * 0.5 / t * math.exp(-z)
-    return term2 + term1
+    return raw, term2 + term1
 
 
 def heat_trace(modes: ModeList, t, rtol=1e-8):
@@ -473,10 +479,7 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    value = math.fsum(
-        (float(mu) * math.exp(-t * lam)
-         for mu, lam in zip(modes.multiplicity, modes.lam)))
-    bound = _heat_tail(modes, t)
+    value, bound = _heat_parts(modes, t)
     if bound > rtol * value:
         raise CutoffTooLowError(
             f"heat trace truncation {bound:.3g} exceeds {rtol:g} * K at t={t:g}; "
@@ -486,23 +489,15 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
 
 
 def min_usable_t(modes: ModeList, rtol=1e-8):
-    """Smallest t at which the heat-trace truncation stays below rtol * K."""
-    lo, hi = 1e-8, 10.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        value = float(np.sum(modes.multiplicity * np.exp(-mid * modes.lam)))
-        if _heat_tail(modes, mid) > rtol * value:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest t at which heat_trace accepts the truncation."""
+    return smallest_usable(lambda t: _heat_parts(modes, t), rtol, 1e-8, 10.0)
 
 
 def heat_trace_samples(modes: ModeList, ts, rtol=1e-8):
-    """Vectorised K(t) over a t-grid; returns (t, K, bound) arrays."""
+    """K(t) over a t-grid; returns (t, K, bound) arrays."""
     ts = np.asarray(ts, dtype=float)
-    K = np.array([heat_trace(modes, float(t), rtol=rtol)[0] for t in ts])
-    bounds = np.array([_heat_tail(modes, float(t)) for t in ts])
+    rows = [heat_trace(modes, float(t), rtol=rtol) for t in ts]
+    K, bounds = np.array(rows, dtype=float).reshape(len(ts), 2).T
     return ts, K, bounds
 
 
@@ -528,10 +523,8 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    raw = math.fsum(
-        float(m) / (lam + mu) ** 2
-        for m, lam in zip(modes.multiplicity, modes.lam))
-    c2, c1 = modes.density_coefficients()
+    raw = math.fsum((modes.multiplicity / (modes.lam + mu) ** 2).tolist())
+    c2, c1 = modes.density
     W = modes.omega_max
     smu = math.sqrt(mu)
     tail = (c2 * 0.5 * ((math.pi / 2 - math.atan(W / smu)) / smu

@@ -59,6 +59,14 @@ class TestRegularizedSum:
         s = regularized_sum(single_mode(lam=1.0), 1.0, RegulatorKind.SQRT)
         assert s.value == pytest.approx(math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_raw_matches_loop_reference(self, em60, kind):
+        w = kind.weight(0.02, em60.lam)
+        ref = math.fsum(float(m) * om * wi for m, om, wi
+                        in zip(em60.multiplicity, em60.omega, w))
+        assert regularized_sum(em60, 0.02, kind).raw == ref
+
     def test_cutoff_error_carries_minimum(self, em60):
         with pytest.raises(CutoffTooLowError) as err:
             regularized_sum(em60, 1e-8, RegulatorKind.HEAT)
@@ -70,6 +78,15 @@ class TestRegularizedSum:
         g_sqrt = min_usable_gamma(em60, RegulatorKind.SQRT)
         # the square-root regulator suppresses the tail far more slowly
         assert g_sqrt > g_heat
+
+    @pytest.mark.parametrize("rtol", [0.5, 0.1])
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_min_usable_gamma_is_the_sum_boundary(self, em60, kind, rtol):
+        g_min = min_usable_gamma(em60, kind, rtol)
+        regularized_sum(em60, g_min, kind, rtol=rtol)  # no raise
+        with pytest.raises(CutoffTooLowError):
+            regularized_sum(em60, np.nextafter(g_min, 0), kind, rtol=rtol)
 
 
 class TestRegulatorIntegral:

@@ -99,6 +99,18 @@ class TestPipeline:
         assert fit["a_n"]["a3"] == pytest.approx(0.625, abs=0.02)
         assert fit["a_n"]["a0"] == pytest.approx(0.18806, rel=2e-3)
 
+    def test_trace_below_minimum_usable_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "modes", "--p", "em", "--omega-max", 40) == 0
+        modes_csv = tmp_path / "modes_em.csv"
+        capsys.readouterr()
+        assert run(tmp_path, "trace", "--modes", modes_csv,
+                   "--t-lo", 1e-4) == 2
+        doc = json.loads(capsys.readouterr().err)
+        t_min = doc["diagnostics"]["minimum_usable"]
+        assert doc["error"] and t_min > 1e-4
+        assert run(tmp_path, "trace", "--modes", modes_csv,
+                   "--t-lo", t_min) == 0
+
     def test_scalar_modes(self, tmp_path):
         assert run(tmp_path, "modes", "--p", "0", "--omega-max", 12) == 0
         doc = json.loads((tmp_path / "modes_0.manifest.json").read_text())

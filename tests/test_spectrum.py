@@ -8,6 +8,7 @@ Frozen 30-digit root references (mpmath, sqrt(pi/2x) J_(l+1/2)):
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,13 @@ class TestHeatTrace:
         assert value == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert bound == 0.0
 
+    def test_value_matches_loop_reference(self, em30):
+        t = 0.05
+        ref = math.fsum(float(m) * math.exp(-t * lam)
+                        for m, lam in zip(em30.multiplicity, em30.lam))
+        # np.exp may differ from math.exp by an ulp per term
+        assert heat_trace(em30, t)[0] == pytest.approx(ref, rel=1e-15)
+
     def test_monotone_decreasing(self, em30):
         ts = np.geomspace(0.05, 1.0, 12)
         K = [heat_trace(em30, float(t))[0] for t in ts]
@@ -173,6 +181,13 @@ class TestHeatTrace:
         K, bound = heat_trace(em30, 1.01 * t_min, rtol=1e-8)
         assert bound <= 1e-8 * K
 
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-10])
+    def test_min_usable_t_is_the_trace_boundary(self, em60, rtol):
+        t_min = min_usable_t(em60, rtol)
+        heat_trace(em60, t_min, rtol=rtol)  # no raise
+        with pytest.raises(CutoffTooLowError):
+            heat_trace(em60, np.nextafter(t_min, 0), rtol=rtol)
+
     def test_samples_vectorised(self, em30):
         ts = np.geomspace(0.05, 0.5, 7)
         t, K, bounds = heat_trace_samples(em30, ts)
@@ -185,6 +200,12 @@ class TestResolvent:
         r = resolvent2_trace(single_mode(lam=1.0), mu=1.0)
         assert r.raw == pytest.approx(0.25, rel=1e-15)
         assert r.tail == 0.0
+
+    def test_raw_matches_loop_reference(self, em30):
+        mu = 50.0
+        ref = math.fsum(float(m) / (lam + mu) ** 2
+                        for m, lam in zip(em30.multiplicity, em30.lam))
+        assert resolvent2_trace(em30, mu).raw == ref
 
     def test_radius_scaling(self):
         m1 = em_modes(20.0, radius=1.0)
@@ -231,6 +252,15 @@ class TestModeListPlumbing:
         again = em_modes(30.0)
         assert np.array_equal(again.lam, em30.lam)
         assert np.array_equal(again.family, em30.family)
+
+    def test_replace_gets_its_own_density(self, em30):
+        em30.density  # fills the cached density of the original
+        lam = em30.lam / 1.21
+        shifted = replace(em30, lam=lam)
+        fresh = ModeList(family=em30.family, l=em30.l, m=em30.m,
+                         multiplicity=em30.multiplicity, lam=lam,
+                         radius=em30.radius, omega_max=em30.omega_max)
+        assert shifted.density == fresh.density != em30.density
 
     def test_union_counts(self):
         p1 = form_modes(1, 20.0)
