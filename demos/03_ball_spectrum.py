@@ -1,9 +1,10 @@
 """Exact eigenvalues of the ball: scalar and electromagnetic families.
 
 Enumerates the spectrum from spherical-Bessel roots with guaranteed
-completeness (interlacing brackets + bisection), shows the lowest
-modes, checks the counting function against its leading growth, and
-exports a CSV that the fitting tools can consume.
+completeness (interlacing brackets refined by false position and
+bisection), shows the lowest modes, checks the counting function
+against its leading growth, and exports a CSV that the fitting tools
+can consume.
 """
 
 import math

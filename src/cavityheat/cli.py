@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import FitConfig, fit_coefficients
+from .asymptotics import FitConfig, IllPosedFitError, fit_coefficients
 from .casimir import (
     RegulatorKind,
     divergence_prediction,
@@ -43,16 +43,25 @@ from .coefficients import (
     form_coefficients,
     gauss_bonnet_residual,
 )
-from .geometry import QuadratureSpec, ellipsoid, sphere, torus
+from .geometry import (
+    EvaluationError,
+    OrientationError,
+    QuadratureSpec,
+    SingularChartError,
+    ellipsoid,
+    sphere,
+    torus,
+)
 from .geometry.identities import curvature_identity_residuals
 from .spectrum import (
+    BracketError,
     CutoffTooLowError,
     ModeList,
     em_modes,
     form_modes,
     heat_trace_samples,
 )
-from .surfacefile import load_surface
+from .surfacefile import SurfaceFileError, load_surface
 from .tables import consistency_report
 
 SCHEMA_VERSION = 1
@@ -437,6 +446,13 @@ def main(argv=None) -> int:
     except CutoffTooLowError as err:
         return _numerical_failure(
             str(err), {"minimum_usable": err.minimum_usable})
+    except (BracketError, OrientationError, SingularChartError,
+            IllPosedFitError, EvaluationError) as err:
+        return _numerical_failure(str(err), {"type": type(err).__name__})
+    except (OSError, SurfaceFileError, ValueError) as err:
+        # unreadable or out-of-domain input: a usage error
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

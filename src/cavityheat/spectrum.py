@@ -15,10 +15,15 @@ ModeList are traces with zero modes omitted.
 
 Enumeration is complete by construction: zeros of consecutive-order
 spherical Bessel functions interlace, so every root is isolated in a
-bracket that provably contains exactly one sign change, and brackets are
-refined by vectorised bisection (no root can be skipped).  The
+bracket that provably contains exactly one sign change.  The
 enumerations of the derivative families use the same interlacing plus
 the turning point sqrt(l(l+1)), below which j_l is strictly increasing.
+All brackets of one zero-ladder level, or of one derivative family over
+every l, are refined together: vectorised Illinois (false-position)
+steps shrink each bracket to a few ulp, and bisection finishes it down
+to the two adjacent floats that carry the sign change.  Every step keeps
+the sign change, so no root can be skipped, and each root is the one
+plain bisection of its bracket ends on, to the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -141,27 +146,73 @@ BESSEL = SphericalBesselContract()
 # root enumeration
 # ---------------------------------------------------------------------------
 
-def _bisect_brackets(f, lo, hi, iterations=63):
-    """All roots of f inside the sign-change brackets [lo_i, hi_i].
+def _bisect_brackets(f, l, lo, hi):
+    """The root of f(l_i, .) in each sign-change bracket [lo_i, hi_i].
 
-    Pure bisection on every bracket at once; 63 halvings of an O(pi)
-    interval land below double resolution, and a bracketed root cannot
-    be lost.  An exact zero at a midpoint collapses that bracket.
+    Each bracket ends on the fixed point of plain bisection: the two
+    adjacent floats that carry the sign change, returned as their
+    rounded midpoint, or the float at which f is exactly zero.  l is one
+    order for all brackets or one order per bracket.
+
+    Illinois steps (_false_position) first shrink the brackets to a few
+    ulp; bisection then finishes each one down to adjacent floats.
+    Every step keeps the sign change, so a bracketed root cannot be
+    lost, and no bracket's result depends on another's.
     """
+    l = np.broadcast_to(l, np.shape(lo))
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo, fhi = f(lo), f(hi)
+    n = len(lo)
+    ends = f(np.concatenate([l, l]), np.concatenate([lo, hi]))
+    flo, fhi = ends[:n], ends[n:]
     if np.any(flo * fhi > 0):
         raise BracketError("bracket without sign change")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = flo * fm < 0          # root in (lo, mid)
+    _false_position(f, l, lo, hi, flo, fhi)
+    idx = np.flatnonzero(hi > np.nextafter(lo, np.inf))
+    while len(idx):
+        a, b, fa = lo[idx], hi[idx], flo[idx]
+        mid = 0.5 * (a + b)
+        fm = f(l[idx], mid)
+        left = fa * fm < 0           # root in (a, mid)
         hit = fm == 0.0
-        hi = np.where(left | hit, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        hi[idx] = np.where(left | hit, mid, b)
+        lo[idx] = np.where(left, a, mid)
+        flo[idx] = np.where(left, fa, fm)
+        idx = idx[hi[idx] > np.nextafter(lo[idx], np.inf)]
     return 0.5 * (lo + hi)
+
+
+def _false_position(f, l, lo, hi, flo, fhi):
+    """Illinois steps on the brackets whose end values are both nonzero.
+
+    Shrinks [lo, hi] in place to at most 16 ulp (at most 40 steps) and
+    leaves in flo the sign of f(lo), not its size.  Each iterate is kept
+    at least 4 ulp inside its bracket (Brent's minimum step), so a root
+    sitting on one end cannot stall the bracket at bisection speed.
+    """
+    idx = np.flatnonzero((flo != 0) & (fhi != 0))
+    a, b, fa, fb = lo[idx], hi[idx], flo[idx], fhi[idx]
+    moved = np.zeros(len(idx), dtype=np.int8)   # end replaced last: -1 a, 1 b
+    for _ in range(40):
+        ulp = np.spacing(b)
+        done = b - a <= 16 * ulp
+        lo[idx[done]], hi[idx[done]], flo[idx[done]] = a[done], b[done], fa[done]
+        idx, a, b, fa, fb, moved, ulp = (
+            v[~done] for v in (idx, a, b, fa, fb, moved, ulp))
+        if not len(idx):
+            return
+        x = np.clip(a + (b - a) * (fa / (fa - fb)), a + 4 * ulp, b - 4 * ulp)
+        fx = f(l[idx], x)
+        up = np.signbit(fx) == np.signbit(fa)   # root in [x, b]
+        # the end kept twice in a row has its value halved
+        fb = np.where(up & (moved == -1), 0.5 * fb, fb)
+        fa = np.where(~up & (moved == 1), 0.5 * fa, fa)
+        a, fa = np.where(up, x, a), np.where(up, fx, fa)
+        b, fb = np.where(up, b, x), np.where(up, fb, fx)
+        moved = np.where(up, -1, 1).astype(np.int8)
+        hit = fx == 0.0
+        a[hit] = b[hit] = x[hit]
+    lo[idx], hi[idx], flo[idx] = a, b, fa
 
 
 def _zero_ladder(x_max, l_max):
@@ -176,37 +227,40 @@ def _zero_ladder(x_max, l_max):
     zeros = [np.arange(1, n0 + 1) * math.pi]
     for l in range(1, l_max + 1):
         prev = zeros[-1]
-        if len(prev) < 2:
-            zeros.append(np.empty(0))
-            continue
-        roots = _bisect_brackets(partial(BESSEL.jl, l), prev[:-1], prev[1:])
-        zeros.append(roots)
+        zeros.append(_bisect_brackets(BESSEL.jl, l, prev[:-1], prev[1:]))
     return zeros
 
 
-def _derivative_family_roots(l, jl_zeros, x_max, f):
-    """Roots of f(l, .) (= j_l' or (x j_l)') below x_max, l >= 1.
+def _derivative_family_roots(ladder, x_max, f):
+    """(l, root) of f(l, .) (= j_l' or (x j_l)') below x_max, all l >= 1.
 
-    One root sits between the turning point sqrt(l(l+1)) and the first
-    zero of j_l; after that, exactly one root between consecutive zeros.
+    Per l, one root sits between the turning point sqrt(l(l+1)) and the
+    first zero of j_l; after that, exactly one root between consecutive
+    zeros.  All brackets of all orders are solved in one call.
     """
-    turning = math.sqrt(l * (l + 1.0))
-    lo = np.concatenate([[turning], jl_zeros[:-1]])
-    hi = jl_zeros
-    keep = lo <= x_max
-    if not np.any(keep):
-        return np.empty(0)
-    roots = _bisect_brackets(partial(f, l), lo[keep], hi[keep])
-    return roots[roots <= x_max]
+    ls, los, his = [], [], []
+    for l in range(1, len(ladder)):
+        zl = ladder[l]
+        lo = np.concatenate([[math.sqrt(l * (l + 1.0))], zl[:-1]])
+        keep = lo <= x_max
+        ls.append(np.full(np.count_nonzero(keep), l))
+        los.append(lo[keep])
+        his.append(zl[keep])
+    l = np.concatenate(ls)
+    roots = _bisect_brackets(f, l, np.concatenate(los), np.concatenate(his))
+    keep = roots <= x_max
+    return l[keep], roots[keep]
 
 
-def _rows_for_family(family, l, roots, radius):
-    n = len(roots)
+def _rows(family, l, roots, radius):
+    """Mode rows for roots grouped by ascending l; m counts within each l."""
+    l = np.asarray(l, dtype=int)
+    start = np.searchsorted(l, l)      # index of the first row of each l
     return {
-        "family": np.full(n, family, dtype="U9"),
-        "l": np.full(n, l, dtype=int),
-        "m": np.arange(1, n + 1, dtype=int),
-        "multiplicity": np.full(n, 2 * l + 1, dtype=int),
+        "family": np.full(len(roots), family, dtype="U9"),
+        "l": l,
+        "m": np.arange(1, len(roots) + 1) - start,
+        "multiplicity": 2 * l + 1,
         "lam": (roots / radius) ** 2,
     }
 
@@ -219,25 +273,23 @@ def _enumerate(families, omega_max, radius):
             "domain (<= 200)")
     l_max = int(x_max) + 1
     ladder = _zero_ladder(x_max, l_max)
+    below = [z[z <= x_max] for z in ladder]
+    l_zero = np.concatenate([np.full(len(z), l) for l, z in enumerate(below)])
+    zeros = np.concatenate(below)
     parts = []
-    for l in range(l_max + 1):
-        zl = ladder[l]
-        if "DIRICHLET" in families:
-            parts.append(_rows_for_family("DIRICHLET", l, zl[zl <= x_max], radius))
-        if "TE" in families and l >= 1:
-            parts.append(_rows_for_family("TE", l, zl[zl <= x_max], radius))
-        if "NEUMANN" in families:
-            if l == 0:
-                # j_0' = -j_1: the flux-free l = 0 roots are the zeros of
-                # j_1; the constant (x = 0) mode is excluded
-                z1 = ladder[1]
-                parts.append(_rows_for_family("NEUMANN", 0, z1[z1 <= x_max], radius))
-            elif len(zl):
-                roots = _derivative_family_roots(l, zl, x_max, BESSEL.jl_prime)
-                parts.append(_rows_for_family("NEUMANN", l, roots, radius))
-        if "TM" in families and l >= 1 and len(zl):
-            roots = _derivative_family_roots(l, zl, x_max, BESSEL.riccati_prime)
-            parts.append(_rows_for_family("TM", l, roots, radius))
+    if "DIRICHLET" in families:
+        parts.append(_rows("DIRICHLET", l_zero, zeros, radius))
+    if "TE" in families:
+        parts.append(_rows("TE", l_zero[l_zero >= 1], zeros[l_zero >= 1], radius))
+    if "NEUMANN" in families:
+        # j_0' = -j_1: the flux-free l = 0 roots are the zeros of j_1; the
+        # constant (x = 0) mode is excluded
+        l, roots = _derivative_family_roots(ladder, x_max, BESSEL.jl_prime)
+        parts.append(_rows("NEUMANN", np.r_[np.zeros(len(below[1]), int), l],
+                           np.r_[below[1], roots], radius))
+    if "TM" in families:
+        l, roots = _derivative_family_roots(ladder, x_max, BESSEL.riccati_prime)
+        parts.append(_rows("TM", l, roots, radius))
     cols = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     return ModeList(radius=radius, omega_max=omega_max, **cols)
 
@@ -481,10 +533,10 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
         raise ValueError("t must be positive")
     value, bound = _heat_parts(modes, t)
     if bound > rtol * value:
+        t_min = min_usable_t(modes, rtol)
         raise CutoffTooLowError(
             f"heat trace truncation {bound:.3g} exceeds {rtol:g} * K at t={t:g}; "
-            f"minimum usable t ~ {min_usable_t(modes, rtol):.4g}",
-            min_usable_t(modes, rtol))
+            f"minimum usable t ~ {t_min:.4g}", t_min)
     return value, bound
 
 

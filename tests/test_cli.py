@@ -23,6 +23,10 @@ end
 """
 
 
+FLIPPED_SPHERE_SURFACE = BAD_TOPOLOGY_SURFACE.replace(
+    "genera 1", "genera 0").replace("normal outward", "normal inward")
+
+
 def run(tmp_path, *argv):
     return main([str(a) for a in argv] + ["--out", str(tmp_path)])
 
@@ -83,6 +87,24 @@ class TestUsageErrors:
 
     def test_unknown_surface(self, tmp_path, capsys):
         assert run(tmp_path, "coeffs", "--surface", "cube") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("modes", "--omega-max", 250),            # outside the Bessel domain
+        ("trace", "--modes", "missing.csv"),      # no sidecar
+    ], ids=["domain", "missing-sidecar"])
+    def test_library_input_error_exits_1(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_numerical_library_error_exits_2(self, tmp_path, capsys):
+        surf = tmp_path / "flipped.surf"
+        surf.write_text(FLIPPED_SPHERE_SURFACE)
+        assert run(tmp_path, "coeffs", "--surface", f"file:{surf}",
+                   "--quad-order", 16) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["diagnostics"] == {"type": "OrientationError"}
+        assert "signed volume" in doc["error"]
 
 
 class TestPipeline:

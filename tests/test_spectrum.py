@@ -9,11 +9,15 @@ Frozen 30-digit root references (mpmath, sqrt(pi/2x) J_(l+1/2)):
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
+import cavityheat.spectrum as spectrum
 from cavityheat.spectrum import (
     BESSEL,
     CutoffTooLowError,
@@ -104,10 +108,11 @@ class TestEnumeration:
 
 
 class TestCompleteness:
-    @pytest.mark.parametrize("l", [0, 3, 9])
-    def test_zero_count_matches_sign_scan(self, l):
+    @pytest.mark.parametrize(
+        "l, x_max", [(0, 35.0), (3, 35.0), (9, 35.0), (40, 100.0), (90, 100.0)],
+        ids=["0", "3", "9", "40", "90"])
+    def test_zero_count_matches_sign_scan(self, l, x_max):
         # independent oracle: count sign changes of j_l on a dense grid
-        x_max = 35.0
         d = dirichlet_modes(x_max)
         got = int(np.sum(d.l == l))
         grid = np.arange(0.05, x_max, 0.005)
@@ -117,18 +122,18 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("family", ["TM", "NEUMANN"])
     def test_derivative_family_count_matches_sign_scan(self, family):
-        x_max = 30.0
-        modes = em_modes(x_max) if family == "TM" else neumann_modes(x_max)
-        for l in (1, 5, 11):
-            got = int(np.sum((modes.l == l) & (modes.family == family)))
+        for x_max, ls in ((30.0, (1, 5, 11)), (100.0, (60,))):
+            modes = em_modes(x_max) if family == "TM" else neumann_modes(x_max)
             grid = np.arange(0.05, x_max, 0.005)
-            if family == "TM":
-                vals = spherical_jn(l, grid) + grid * spherical_jn(
-                    l, grid, derivative=True)
-            else:
-                vals = spherical_jn(l, grid, derivative=True)
-            scan = int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
-            assert got == scan
+            for l in ls:
+                got = int(np.sum((modes.l == l) & (modes.family == family)))
+                if family == "TM":
+                    vals = spherical_jn(l, grid) + grid * spherical_jn(
+                        l, grid, derivative=True)
+                else:
+                    vals = spherical_jn(l, grid, derivative=True)
+                scan = int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
+                assert got == scan, (x_max, l)
 
     def test_weyl_count_within_five_percent(self, em60):
         # leading growth: N(w) ~ (4 / 9 pi) w^3 for the two-family spectrum
@@ -170,9 +175,18 @@ class TestHeatTrace:
             budget = bound + abs(co[5]) * t ** 1.5
             assert abs(K - model) < budget, (t, K - model, budget)
 
-    def test_cutoff_too_low_carries_minimum(self, em30):
+    def test_cutoff_too_low_carries_minimum(self, em30, monkeypatch):
+        searches = []
+
+        def counted(modes, rtol):
+            searches.append(rtol)
+            return min_usable_t(modes, rtol)
+
+        monkeypatch.setattr(spectrum, "min_usable_t", counted)
         with pytest.raises(CutoffTooLowError) as err:
             heat_trace(em30, 1e-5)
+        assert searches == [1e-8]     # one search serves message and attribute
+        assert err.value.minimum_usable == min_usable_t(em30)
         assert err.value.minimum_usable > 1e-5
         heat_trace(em30, 1.05 * err.value.minimum_usable)  # no raise
 
@@ -275,6 +289,88 @@ class TestModeListPlumbing:
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError, match="zero or negative"):
             single_mode(lam=0.0)
+
+
+def bisect_reference(f, lo, hi, iterations=63):
+    """Plain bisection, 63 halvings: the oracle the solver must match."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = f(lo)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        left = flo * fm < 0
+        hit = fm == 0.0
+        hi = np.where(left | hit, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """Zeros of j_0..j_201, each level covering x <= 200."""
+    return spectrum._zero_ladder(200.0, 201)
+
+
+def consecutive_zero_brackets(ladder, data, order):
+    """A random run of brackets between consecutive zeros of j_order,
+    in the verified domain where j_order has two zeros there."""
+    z = ladder[order]
+    z = z[:max(2, np.count_nonzero(z <= BESSEL.x_max))]
+    k = data.draw(st.integers(0, len(z) - 2))
+    n = data.draw(st.integers(1, min(8, len(z) - 1 - k)))
+    return z[k:k + n], z[k + 1:k + n + 1]
+
+
+def check_solver(f, l, lo, hi, shrink):
+    """The solver against bisect_reference on [lo, hi], optionally shrunk
+    towards the reference root by the fractions shrink = (u, v)."""
+    g = partial(f, l)
+    if shrink is not None:
+        ref = bisect_reference(g, lo, hi)
+        u, v = shrink
+        lo, hi = lo + u * (ref - lo), hi - v * (hi - ref)
+        assume(np.all(g(lo) * g(hi) < 0))
+    roots = spectrum._bisect_brackets(f, l, lo, hi)
+    assert np.array_equal(roots, bisect_reference(g, lo, hi))
+    assert np.all((lo <= roots) & (roots <= hi))
+    below = g(np.nextafter(roots, -np.inf))
+    above = g(np.nextafter(roots, np.inf))
+    assert np.all(below * above < 0)
+
+
+shrinks = st.none() | st.tuples(st.floats(0, 1, exclude_max=True),
+                                st.floats(0, 1, exclude_max=True))
+
+
+class TestRootSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(0, 200), below=st.booleans(), shrink=shrinks,
+           data=st.data())
+    def test_zeros_between_neighbour_order_zeros(self, ladder, l, below,
+                                                 shrink, data):
+        # zeros of j_l interlace with those of j_(l-1) and of j_(l+1)
+        order = l - 1 if below and l > 0 else l + 1
+        lo, hi = consecutive_zero_brackets(ladder, data, order)
+        check_solver(BESSEL.jl, l, lo, hi, shrink)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 200), family=st.sampled_from(["TM", "NEUMANN"]),
+           turning=st.booleans(), shrink=shrinks, data=st.data())
+    def test_derivative_family_brackets(self, ladder, l, family, turning,
+                                        shrink, data):
+        f = BESSEL.riccati_prime if family == "TM" else BESSEL.jl_prime
+        if turning:
+            lo = np.array([math.sqrt(l * (l + 1.0))])
+            hi = ladder[l][:1]
+        else:
+            lo, hi = consecutive_zero_brackets(ladder, data, l)
+        check_solver(f, l, lo, hi, shrink)
+
+    def test_lost_sign_change_rejected(self):
+        with pytest.raises(spectrum.BracketError):
+            spectrum._bisect_brackets(BESSEL.jl, 1, [1.0, 4.0], [2.0, 5.0])
 
 
 class TestBesselContract:
