@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from .asymptotics import weighted_power_fit
@@ -123,7 +122,8 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
 
 def min_usable_gamma(modes: ModeList, kind: RegulatorKind, rtol=0.5):
     """Smallest gamma at which regularized_sum accepts the point."""
-    return smallest_usable(lambda g: _regulated_parts(modes, g, kind),
+    return smallest_usable(modes, kind,
+                           lambda g: _regulated_parts(modes, g, kind),
                            rtol, 1e-10, 10.0)
 
 
@@ -148,6 +148,8 @@ def regulator_integral(n, gamma, delta=1.0) -> RegulatorIntegral:
         raise ValueError("need 0 < gamma << delta")
     if n not in range(5):
         raise ValueError("n must be 0..4")
+    from scipy.integrate import quad
+
     power = (n - 5) / 2.0
     val, err = quad(lambda s: 2.0 * (s * s + gamma) ** power,
                     0.0, math.sqrt(delta), limit=200)
@@ -311,7 +313,10 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
 
     Points whose truncation tail exceeds ``rtol`` times the raw sum are
     excluded (the cutoff spectrum says nothing there); the rest enter a
-    weighted fit with their tail uncertainties.  Quoted component errors
+    weighted fit with their tail uncertainties.  Fewer than
+    2 * len(SCAN_BASIS) usable points raise CutoffTooLowError carrying
+    the minimum usable gamma when exclusions caused the shortfall, and
+    ValueError when the grid itself is too short.  Quoted component errors
     inflate with sqrt(chi2/dof), so unmodelled smooth remainder terms
     widen the error bars instead of faking significance.
     """
@@ -326,9 +331,13 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
         vals.append(s.value)
         sigs.append(s.tail_sigma + 1e-14 * abs(s.value))
     if len(kept) < 2 * len(SCAN_BASIS):
-        raise ValueError(
-            f"only {len(kept)} usable gamma points (need "
-            f">= {2 * len(SCAN_BASIS)}); raise the cutoff or the grid")
+        message = (f"only {len(kept)} usable gamma points (need "
+                   f">= {2 * len(SCAN_BASIS)}); raise the cutoff or the grid")
+        if not excluded:
+            raise ValueError(message)   # the grid itself is too short
+        g_min = min_usable_gamma(modes, prediction.kind, rtol)
+        raise CutoffTooLowError(f"{message}; minimum usable gamma ~ "
+                                f"{g_min:.4g}", g_min)
     kept = np.array(kept)
     vals = np.array(vals)
     sigs = np.array(sigs)

@@ -269,11 +269,26 @@ def _cmd_fit(args, parser):
     return 0
 
 
+def _em_values(path):
+    """a_0..a_5 of a 'coeffs' report; a usage error when they are absent."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise SystemExit1(f"{path}: malformed JSON ({err})") from None
+    try:
+        values = [float(v) for v in doc["em"]["values"]]
+    except (KeyError, TypeError, ValueError):
+        values = []
+    if len(values) != 6:
+        raise SystemExit1(f"{path}: no em.values list of six coefficients; "
+                          "expected the report written by 'coeffs'")
+    return values
+
+
 def _cmd_casimir(args, parser):
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
-    coeffs_doc = json.loads(Path(args.coeffs).read_text())
-    a = coeffs_doc["em"]["values"]
+    a = _em_values(args.coeffs)
     kind = RegulatorKind(args.regulator)
     pred = divergence_prediction(a, kind)
     gammas = np.geomspace(args.gamma_lo, args.gamma_hi, args.gamma_points)

@@ -328,6 +328,10 @@ class ModeList:
         for name in ("family", "l", "m", "multiplicity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name))[order])
         object.__setattr__(self, "lam", lam[order])
+        # read-only, so an in-place write cannot leave the cached
+        # omega, density or usable floors stale
+        for name in ("family", "l", "m", "multiplicity", "lam"):
+            getattr(self, name).setflags(write=False)
 
     def __len__(self):
         return len(self.lam)
@@ -389,6 +393,11 @@ class ModeList:
                                   (edges ** 2 - w_lo ** 2) / 2.0])
         (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
         return float(c2), float(c1)
+
+    @cached_property
+    def _usable_floor(self):
+        """Memo of smallest_usable over this list: (trace, rtol) -> floor."""
+        return {}
 
     # -- persistence -------------------------------------------------------
 
@@ -492,7 +501,7 @@ def form_modes(p, omega_max, radius=1.0) -> ModeList:
 # traces
 # ---------------------------------------------------------------------------
 
-def smallest_usable(parts, rtol, lo, hi):
+def smallest_usable(modes, trace, parts, rtol, lo, hi):
     """Smallest x in (lo, hi] whose (raw, tail) = parts(x) passes the cut-off.
 
     A point is usable when tail <= rtol * raw, the test the traces apply
@@ -501,14 +510,23 @@ def smallest_usable(parts, rtol, lo, hi):
     result is the trace's own boundary to the last bit.  The rounded
     sqrt(lo * hi) never leaves [lo, hi], so the interval only shrinks
     and the loop ends (after about 60 steps on [1e-10, 10]).
+
+    The search runs once per (trace, rtol) on each mode list: ``trace``
+    names the sum that parts belongs to ("heat_trace" or a
+    RegulatorKind), and the floor is kept in the list's memo.
     """
-    while True:
-        mid = math.sqrt(lo * hi)
-        raw, tail = parts(mid)
-        new = (mid, hi) if tail > rtol * raw else (lo, mid)
-        if new == (lo, hi):
-            return hi
-        lo, hi = new
+    memo = modes._usable_floor
+    key = (trace, rtol)
+    if key not in memo:
+        while True:
+            mid = math.sqrt(lo * hi)
+            raw, tail = parts(mid)
+            new = (mid, hi) if tail > rtol * raw else (lo, mid)
+            if new == (lo, hi):
+                break
+            lo, hi = new
+        memo[key] = hi
+    return memo[key]
 
 
 def _heat_parts(modes, t):
@@ -542,7 +560,8 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
 
 def min_usable_t(modes: ModeList, rtol=1e-8):
     """Smallest t at which heat_trace accepts the truncation."""
-    return smallest_usable(lambda t: _heat_parts(modes, t), rtol, 1e-8, 10.0)
+    return smallest_usable(modes, "heat_trace", lambda t: _heat_parts(modes, t),
+                           rtol, 1e-8, 10.0)
 
 
 def heat_trace_samples(modes: ModeList, ts, rtol=1e-8):

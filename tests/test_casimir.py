@@ -1,11 +1,17 @@
 """Regulated frequency sums and their divergence structure."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityheat
+import cavityheat.casimir as casimir
 from cavityheat import QuadratureSpec, TopologyInfo, sphere, torus
 from cavityheat.casimir import (
     RegulatorKind,
@@ -88,6 +94,16 @@ class TestRegularizedSum:
         with pytest.raises(CutoffTooLowError):
             regularized_sum(em60, np.nextafter(g_min, 0), kind, rtol=rtol)
 
+    def test_floor_memo_matches_fresh_searches(self, em60):
+        modes = replace(em60)
+        floors = {(kind, rtol): min_usable_gamma(modes, kind, rtol)
+                  for kind in RegulatorKind for rtol in (0.5, 0.1)}
+        assert modes._usable_floor == floors     # one entry per key
+        assert len(set(floors.values())) == 4
+        for (kind, rtol), g_min in floors.items():
+            assert min_usable_gamma(modes, kind, rtol) == g_min
+            assert min_usable_gamma(replace(em60), kind, rtol) == g_min
+
 
 class TestRegulatorIntegral:
     # exact O(1) offsets at delta = 1: numeric - asymptote tends to
@@ -108,6 +124,16 @@ class TestRegulatorIntegral:
             math.pi * g**-0.5)
         assert regulator_integral(4, g).asymptote == pytest.approx(
             -math.log(g))
+
+    def test_import_leaves_quadrature_unloaded(self):
+        src = str(Path(cavityheat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cavityheat; print('scipy.integrate' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,8 +221,39 @@ class TestRemainderScan:
 
     def test_too_few_usable_points(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.SQRT)
-        with pytest.raises(ValueError, match="usable gamma"):
+        with pytest.raises(CutoffTooLowError, match="usable gamma") as err:
             remainder_scan(em60, pred, np.geomspace(1e-5, 1e-4, 10))
+        assert err.value.minimum_usable == min_usable_gamma(
+            em60, RegulatorKind.SQRT)
+
+    def test_too_short_grid_is_not_a_cutoff_error(self, em60, ball_coeffs):
+        pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)
+        with pytest.raises(ValueError, match="usable gamma points") as err:
+            remainder_scan(em60, pred, np.geomspace(1e-2, 5e-2, 5))
+        assert not isinstance(err.value, CutoffTooLowError)
+
+    def test_scan_searches_the_floor_once(self, em60, ball_coeffs,
+                                          monkeypatch):
+        parts = casimir._regulated_parts
+        calls = []
+
+        def counted(modes, gamma, kind):
+            calls.append(gamma)
+            return parts(modes, gamma, kind)
+
+        monkeypatch.setattr(casimir, "_regulated_parts", counted)
+        min_usable_gamma(replace(em60), RegulatorKind.SQRT)
+        steps = len(calls)              # one search on a list of its own
+        calls.clear()
+        pred = divergence_prediction(ball_coeffs.values, RegulatorKind.SQRT)
+        gammas = np.geomspace(1e-3, 5e-2, 40)
+        modes = replace(em60)
+        scan = remainder_scan(modes, pred, gammas)
+        assert len(scan.excluded) > 1
+        assert len(calls) == len(gammas) + steps
+        calls.clear()
+        remainder_scan(modes, pred.without("g_m1"), gammas)
+        assert len(calls) == len(gammas)    # the floor is already known
 
     def test_report_serialisable(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)

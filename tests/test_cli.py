@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cavityheat.casimir import RegulatorKind, min_usable_gamma
 from cavityheat.cli import main
+from cavityheat.spectrum import ModeList
 
 BAD_TOPOLOGY_SURFACE = """\
 schema 1
@@ -97,6 +99,29 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["{", "{}", None],
+                             ids=["malformed-json", "no-em-values", "missing"])
+    def test_bad_coeffs_file_exits_1(self, tmp_path, capsys, text):
+        assert run(tmp_path, "modes", "--omega-max", 10) == 0
+        coeffs = tmp_path / "coeffs.json"
+        if text is not None:
+            coeffs.write_text(text)
+        capsys.readouterr()
+        assert run(tmp_path, "casimir", "--modes", tmp_path / "modes_em.csv",
+                   "--coeffs", coeffs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [None, "schema 1\nfrobnicate 3\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_surface_file_exits_1(self, tmp_path, capsys, text):
+        surf = tmp_path / "shape.surf"
+        if text is not None:
+            surf.write_text(text)
+        assert run(tmp_path, "coeffs", "--surface", f"file:{surf}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_numerical_library_error_exits_2(self, tmp_path, capsys):
         surf = tmp_path / "flipped.surf"
         surf.write_text(FLIPPED_SPHERE_SURFACE)
@@ -132,6 +157,20 @@ class TestPipeline:
         assert doc["error"] and t_min > 1e-4
         assert run(tmp_path, "trace", "--modes", modes_csv,
                    "--t-lo", t_min) == 0
+
+    def test_casimir_below_minimum_usable_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "modes", "--p", "em", "--omega-max", 30) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        capsys.readouterr()
+        modes_csv = tmp_path / "modes_em.csv"
+        assert run(tmp_path, "casimir", "--modes", modes_csv,
+                   "--coeffs", tmp_path / "coeffs.json",
+                   "--gamma-lo", 1e-6, "--gamma-hi", 1e-5) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert "usable gamma points" in doc["error"]
+        assert doc["diagnostics"]["minimum_usable"] == min_usable_gamma(
+            ModeList.from_csv(modes_csv), RegulatorKind.HEAT)
 
     def test_scalar_modes(self, tmp_path):
         assert run(tmp_path, "modes", "--p", "0", "--omega-max", 12) == 0

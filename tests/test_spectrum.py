@@ -190,6 +190,26 @@ class TestHeatTrace:
         assert err.value.minimum_usable > 1e-5
         heat_trace(em30, 1.05 * err.value.minimum_usable)  # no raise
 
+    def test_trace_raise_then_min_usable_t_searches_once(self, em30,
+                                                         monkeypatch):
+        parts = spectrum._heat_parts
+        calls = []
+
+        def counted(modes, t):
+            calls.append(t)
+            return parts(modes, t)
+
+        monkeypatch.setattr(spectrum, "_heat_parts", counted)
+        min_usable_t(replace(em30))
+        steps = len(calls)              # one search on a list of its own
+        calls.clear()
+        fresh = replace(em30)
+        with pytest.raises(CutoffTooLowError) as err:
+            heat_trace(fresh, 1e-5)
+        assert len(calls) == 1 + steps  # the trace itself, then the search
+        assert min_usable_t(fresh) == err.value.minimum_usable
+        assert len(calls) == 1 + steps  # read from the list's memo
+
     def test_min_usable_t_consistent(self, em30):
         t_min = min_usable_t(em30, rtol=1e-8)
         K, bound = heat_trace(em30, 1.01 * t_min, rtol=1e-8)
@@ -275,6 +295,21 @@ class TestModeListPlumbing:
                          multiplicity=em30.multiplicity, lam=lam,
                          radius=em30.radius, omega_max=em30.omega_max)
         assert shifted.density == fresh.density != em30.density
+
+    @pytest.mark.parametrize("name", ["family", "l", "m", "multiplicity",
+                                      "lam"])
+    def test_arrays_are_read_only(self, em30, name):
+        column = getattr(em30, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+    def test_copies_start_with_an_empty_floor_memo(self, em30, tmp_path):
+        min_usable_t(em30)
+        assert em30._usable_floor
+        em30.to_csv(tmp_path / "modes.csv")
+        for copy in (replace(em30), em30.union(single_mode()),
+                     ModeList.from_csv(tmp_path / "modes.csv")):
+            assert copy._usable_floor == {}
 
     def test_union_counts(self):
         p1 = form_modes(1, 20.0)
