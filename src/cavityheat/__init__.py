@@ -4,97 +4,62 @@ Boundary-curvature heat-trace coefficients, exact p-form coefficient
 tables with rational consistency checks, the exact ball spectrum as an
 independent spectral oracle, small-t asymptotic fitting, and the
 divergence structure of regularised Casimir mode sums.
+
+Importing the package loads none of its layers: each public name is
+imported from its submodule on first access (PEP 562), so a process
+pays only for the layers it uses.
 """
 
-from .asymptotics import FitConfig, FitResult, fit_coefficients, suggest_window
-from .casimir import (
-    DivergencePrediction,
-    ModeCountReport,
-    PhiExpansion,
-    RegulatorKind,
-    RemainderScan,
-    detection_z,
-    divergence_prediction,
-    min_usable_gamma,
-    mode_count,
-    phi_expansion,
-    regularized_sum,
-    regulator_integral,
-    remainder_scan,
-)
-from .coefficients import (
-    GeometricMoments,
-    HeatCoefficientSet,
-    Measurement,
-    a3_local,
-    a3_local_kappa_variant,
-    compute_moments,
-    delta_a3,
-    em_coefficients,
-    form_coefficients,
-    gauss_bonnet_residual,
-)
-from .geometry import (
-    CurvatureSample,
-    QuadratureSpec,
-    SurfaceChart,
-    SurfaceModel,
-    TopologyInfo,
-    curvature_at,
-    ellipsoid,
-    enclosed_volume,
-    grad_trL_sq_integral,
-    sphere,
-    surface_integral,
-    torus,
-    trL_lap_trL_integral,
-)
-from .geometry.identities import IdentityResiduals, curvature_identity_residuals
-from .spectrum import (
-    BESSEL,
-    CutoffTooLowError,
-    ModeList,
-    SphericalBesselContract,
-    dirichlet_modes,
-    em_modes,
-    form_modes,
-    heat_trace,
-    heat_trace_samples,
-    min_usable_t,
-    neumann_modes,
-    resolvent2_expansion,
-    resolvent2_trace,
-)
-from .surfacefile import SurfaceFileError, load_surface, loads_surface
-from .tables import consistency_report, harmonic_form_dims
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # geometry
-    "CurvatureSample", "QuadratureSpec", "SurfaceChart", "SurfaceModel",
-    "TopologyInfo", "curvature_at", "ellipsoid", "enclosed_volume",
-    "grad_trL_sq_integral", "sphere", "surface_integral", "torus",
-    "trL_lap_trL_integral", "IdentityResiduals",
-    "curvature_identity_residuals",
-    # tables and coefficients
-    "consistency_report", "harmonic_form_dims", "GeometricMoments",
-    "HeatCoefficientSet", "Measurement", "a3_local",
-    "a3_local_kappa_variant", "compute_moments", "delta_a3",
-    "em_coefficients", "form_coefficients", "gauss_bonnet_residual",
-    # spectrum
-    "BESSEL", "CutoffTooLowError", "ModeList", "SphericalBesselContract",
-    "dirichlet_modes", "em_modes", "form_modes", "heat_trace",
-    "heat_trace_samples", "min_usable_t", "neumann_modes",
-    "resolvent2_expansion", "resolvent2_trace",
-    # asymptotics and regulated sums
-    "FitConfig", "FitResult", "fit_coefficients", "suggest_window",
-    "DivergencePrediction", "ModeCountReport", "PhiExpansion",
-    "RegulatorKind", "RemainderScan", "detection_z",
-    "divergence_prediction", "min_usable_gamma", "mode_count",
-    "phi_expansion", "regularized_sum", "regulator_integral",
-    "remainder_scan",
-    # surface files
-    "SurfaceFileError", "load_surface", "loads_surface",
-]
+# submodule -> the public names it provides
+_SUBMODULES = {
+    "geometry": (
+        "CurvatureSample", "QuadratureSpec", "SurfaceChart", "SurfaceModel",
+        "TopologyInfo", "curvature_at", "ellipsoid", "enclosed_volume",
+        "grad_trL_sq_integral", "sphere", "surface_integral", "torus",
+        "trL_lap_trL_integral"),
+    "geometry.identities": (
+        "IdentityResiduals", "curvature_identity_residuals"),
+    "tables": ("consistency_report", "harmonic_form_dims"),
+    "coefficients": (
+        "GeometricMoments", "HeatCoefficientSet", "Measurement", "a3_local",
+        "a3_local_kappa_variant", "compute_moments", "delta_a3",
+        "em_coefficients", "form_coefficients", "gauss_bonnet_residual"),
+    "spectrum": (
+        "BESSEL", "ModeList", "SphericalBesselContract", "dirichlet_modes",
+        "em_modes", "form_modes", "heat_trace", "heat_trace_samples",
+        "min_usable_t", "neumann_modes", "resolvent2_expansion",
+        "resolvent2_trace"),
+    "asymptotics": (
+        "FitConfig", "FitResult", "fit_coefficients", "suggest_window"),
+    "casimir": (
+        "DivergencePrediction", "ModeCountReport", "PhiExpansion",
+        "RegulatorKind", "RemainderScan", "detection_z",
+        "divergence_prediction", "min_usable_gamma", "mode_count",
+        "phi_expansion", "regularized_sum", "regulator_integral",
+        "remainder_scan"),
+    "surfacefile": ("load_surface", "loads_surface"),
+    "errors": ("CutoffTooLowError", "SurfaceFileError"),
+}
+_SOURCE = {name: module for module, names in _SUBMODULES.items()
+           for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IllPosedFitError
+
 __all__ = [
     "FitConfig",
     "FitResult",
@@ -30,10 +32,6 @@ HALF_POWERS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0)
 
 CONDITION_REPORT = 1e6      # report the condition number beyond this
 CONDITION_LIMIT = 1e10      # refuse to solve beyond this
-
-
-class IllPosedFitError(ValueError):
-    """Design matrix condition number beyond the usable limit."""
 
 
 @dataclass(frozen=True)

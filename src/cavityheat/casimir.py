@@ -139,22 +139,32 @@ class RegulatorIntegral:
 def regulator_integral(n, gamma, delta=1.0) -> RegulatorIntegral:
     """int_0^delta t^-1/2 (t + gamma)^((n-5)/2) dt and its leading form.
 
-    The substitution t = s^2 removes the endpoint singularity, so plain
-    adaptive quadrature converges.  Leading asymptotes as gamma -> 0:
-    (4/3) g^-2, (pi/2) g^-3/2, 2 g^-1, pi g^-1/2, -log g for n = 0..4,
-    each modulo O(1) set by the (arbitrary, fixed) delta.
+    With t = s^2 the integral is 2 int_0^sqrt(delta) (s^2 + g)^((n-5)/2)
+    ds, elementary for every n.  The antiderivatives in s:
+
+        n = 0:  s (2 s^2 + 3 g) / (3 g^2 (s^2 + g)^(3/2))
+        n = 1:  s / (2 g (s^2 + g)) + atan(s / sqrt(g)) / (2 g^(3/2))
+        n = 2:  s / (g sqrt(s^2 + g))
+        n = 3:  atan(s / sqrt(g)) / sqrt(g)
+        n = 4:  asinh(s / sqrt(g))
+
+    All vanish at s = 0 and every term is positive, so each value is
+    good to a few ulp.  Leading asymptotes as gamma -> 0: (4/3) g^-2,
+    (pi/2) g^-3/2, 2 g^-1, pi g^-1/2, -log g for n = 0..4, each modulo
+    O(1) set by the (arbitrary, fixed) delta.
     """
     if not 0 < gamma < delta:
         raise ValueError("need 0 < gamma << delta")
     if n not in range(5):
         raise ValueError("n must be 0..4")
-    from scipy.integrate import quad
-
-    power = (n - 5) / 2.0
-    val, err = quad(lambda s: 2.0 * (s * s + gamma) ** power,
-                    0.0, math.sqrt(delta), limit=200)
-    if not np.isfinite(val) or err > 1e-8 * max(abs(val), 1.0):
-        raise RuntimeError(f"quadrature failure for regulator integral n={n}")
+    s, r, h = math.sqrt(delta), math.sqrt(gamma), delta + gamma
+    val = 2.0 * (
+        s * (2 * delta + 3 * gamma) / (3 * gamma**2 * h**1.5),
+        s / (2 * gamma * h) + math.atan(s / r) / (2 * gamma**1.5),
+        s / (gamma * math.sqrt(h)),
+        math.atan(s / r) / r,
+        math.asinh(s / r),
+    )[n]
     asym = {
         0: (4.0 / 3.0) * gamma ** -2,
         1: (math.pi / 2.0) * gamma ** -1.5,

@@ -24,45 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .asymptotics import FitConfig, IllPosedFitError, fit_coefficients
-from .casimir import (
-    RegulatorKind,
-    divergence_prediction,
-    mode_count,
-    phi_expansion,
-    regulator_integral,
-    remainder_scan,
-)
-from .coefficients import (
-    a3_local,
-    a3_local_kappa_variant,
-    compute_moments,
-    delta_a3,
-    em_coefficients,
-    form_coefficients,
-    gauss_bonnet_residual,
-)
-from .geometry import (
-    EvaluationError,
-    OrientationError,
-    QuadratureSpec,
-    SingularChartError,
-    ellipsoid,
-    sphere,
-    torus,
-)
-from .geometry.identities import curvature_identity_residuals
-from .spectrum import (
-    BracketError,
-    CutoffTooLowError,
-    ModeList,
-    em_modes,
-    form_modes,
-    heat_trace_samples,
-)
-from .surfacefile import SurfaceFileError, load_surface
-from .tables import consistency_report
+from . import __version__, errors
 
 SCHEMA_VERSION = 1
 
@@ -126,6 +88,9 @@ def _out_dir(args):
 
 
 def _surface_from_args(args, parser):
+    from .geometry import ellipsoid, sphere, torus
+    from .surfacefile import load_surface
+
     spec = args.surface
     if spec == "sphere":
         return sphere(args.radius)
@@ -140,10 +105,24 @@ def _surface_from_args(args, parser):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports only the layers it calls, so a process pays
+# for those alone
 # ---------------------------------------------------------------------------
 
 def _cmd_coeffs(args, parser):
+    from .casimir import mode_count, phi_expansion
+    from .coefficients import (
+        a3_local,
+        a3_local_kappa_variant,
+        compute_moments,
+        delta_a3,
+        em_coefficients,
+        form_coefficients,
+        gauss_bonnet_residual,
+    )
+    from .geometry import QuadratureSpec
+    from .tables import consistency_report
+
     t0 = time.time()
     got = _surface_from_args(args, parser)
     model, inputs = (got if isinstance(got, tuple) else (got, None))
@@ -204,6 +183,8 @@ _P_CHOICES = ("em", "0", "1", "2", "3")
 
 
 def _cmd_modes(args, parser):
+    from .spectrum import em_modes, form_modes
+
     t0 = time.time()
     p = args.p
     if p == "em":
@@ -221,6 +202,8 @@ def _cmd_modes(args, parser):
 
 
 def _cmd_trace(args, parser):
+    from .spectrum import ModeList, heat_trace_samples
+
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
     ts = np.geomspace(args.t_lo, args.t_hi, args.t_points)
@@ -237,6 +220,8 @@ def _cmd_trace(args, parser):
 
 
 def _cmd_fit(args, parser):
+    from .asymptotics import FitConfig, fit_coefficients
+
     t0 = time.time()
     rows = np.genfromtxt(args.trace, delimiter=",", names=True)
     t = np.atleast_1d(rows["t"])
@@ -286,6 +271,19 @@ def _em_values(path):
 
 
 def _cmd_casimir(args, parser):
+    # regulator_integral needs 0 < gamma < delta = 1; checked before any
+    # file is written
+    if not 0 < args.gamma_lo < min(1.0, args.gamma_hi):
+        raise SystemExit1(f"--gamma-lo {args.gamma_lo:g} must lie in "
+                          "(0, min(1, --gamma-hi))")
+    from .casimir import (
+        RegulatorKind,
+        divergence_prediction,
+        regulator_integral,
+        remainder_scan,
+    )
+    from .spectrum import ModeList
+
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
     a = _em_values(args.coeffs)
@@ -320,6 +318,11 @@ def _cmd_casimir(args, parser):
 
 
 def _cmd_verify(args, parser):
+    from .coefficients import compute_moments, gauss_bonnet_residual
+    from .geometry import QuadratureSpec, ellipsoid, sphere, torus
+    from .geometry.identities import curvature_identity_residuals
+    from .tables import consistency_report
+
     t0 = time.time()
     rng = np.random.default_rng(args.seed)
     report = {"exact_relations": {}, "identity_residuals": {},
@@ -458,14 +461,16 @@ def main(argv=None) -> int:
         return 1
     except ToleranceFailure as err:
         return _numerical_failure(str(err), err.diagnostics)
-    except CutoffTooLowError as err:
+    except errors.CutoffTooLowError as err:
         return _numerical_failure(
             str(err), {"minimum_usable": err.minimum_usable})
-    except (BracketError, OrientationError, SingularChartError,
-            IllPosedFitError, EvaluationError) as err:
+    except (errors.BracketError, errors.OrientationError,
+            errors.SingularChartError, errors.IllPosedFitError,
+            errors.EvaluationError) as err:
         return _numerical_failure(str(err), {"type": type(err).__name__})
-    except (OSError, SurfaceFileError, ValueError) as err:
-        # unreadable or out-of-domain input: a usage error
+    except (OSError, ValueError) as err:
+        # unreadable or out-of-domain input (SurfaceFileError included):
+        # a usage error
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
+from ..errors import ChartError, SingularChartError
+
 __all__ = [
     "ChartError",
     "SingularChartError",
@@ -34,21 +36,6 @@ ALLOWED_FUNCTIONS = {
     "exp": sp.exp,
     "sqrt": sp.sqrt,
 }
-
-
-class ChartError(ValueError):
-    """Invalid chart definition or evaluation request."""
-
-
-class SingularChartError(ChartError):
-    """The immersion degenerates (|r_u x r_v| ~ 0) at a parameter point."""
-
-    def __init__(self, name, u, v, sine):
-        self.point = (float(u), float(v))
-        super().__init__(
-            f"chart {name!r} is singular near (u, v) = ({u:.6g}, {v:.6g}): "
-            f"|r_u x r_v| / (|r_u||r_v|) = {sine:.3g}"
-        )
 
 
 def _broadcast_components(values, u, v):

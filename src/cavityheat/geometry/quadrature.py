@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import roots_legendre
 
+from ..errors import EvaluationError, OrientationError
 from .curvature import curvature_grid, lap_trL_grid
 from .models import SurfaceModel
 
@@ -29,14 +30,6 @@ __all__ = [
     "grad_trL_sq_integral",
     "trL_lap_trL_integral",
 ]
-
-
-class EvaluationError(ValueError):
-    """An integrand produced a non-finite value at a quadrature node."""
-
-
-class OrientationError(ValueError):
-    """Signed volume came out negative: chart normals are not inward."""
 
 
 @dataclass(frozen=True)

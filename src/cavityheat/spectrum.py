@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaincc, spherical_jn
 
+from .errors import BracketError, CutoffTooLowError
+
 __all__ = [
     "ModeList",
     "SphericalBesselContract",
@@ -66,18 +68,6 @@ FAMILIES = ("TE", "TM", "DIRICHLET", "NEUMANN")
 # weights alike; 4% keeps a severalfold margin everywhere.
 TAIL_CALIBRATION_WINDOW = 0.5
 TAIL_DENSITY_RELERR = 0.04
-
-
-class CutoffTooLowError(ValueError):
-    """The requested trace needs modes beyond the enumeration cutoff."""
-
-    def __init__(self, message, minimum_usable):
-        super().__init__(message)
-        self.minimum_usable = minimum_usable
-
-
-class BracketError(RuntimeError):
-    """A root bracket lost its sign change: internal contract violation."""
 
 
 @dataclass(frozen=True)
@@ -338,7 +328,9 @@ class ModeList:
 
     @cached_property
     def omega(self):
-        return np.sqrt(self.lam)
+        omega = np.sqrt(self.lam)
+        omega.setflags(write=False)
+        return omega
 
     @property
     def count(self):

@@ -45,21 +45,13 @@ from pathlib import Path
 
 import sympy as sp
 
+from .errors import SurfaceFileError
 from .geometry import SurfaceChart, SurfaceModel, TopologyInfo
 from .geometry.charts import ALLOWED_FUNCTIONS
 
 __all__ = ["SurfaceFileError", "load_surface", "loads_surface"]
 
 SCHEMA_VERSION = 1
-
-
-class SurfaceFileError(ValueError):
-    """Parse or validation error, carrying 1-based line/column."""
-
-    def __init__(self, message, line, column=1):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
 
 
 _BINOPS = {ast.Add: sp.Add, ast.Sub: None, ast.Mult: sp.Mul,

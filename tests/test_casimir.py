@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,6 +116,25 @@ class TestRegulatorIntegral:
         ri = regulator_integral(n, 1e-6, delta=1.0)
         diff = ri.numeric - ri.asymptote
         assert diff == pytest.approx(self.OFFSET[n], abs=0.02)
+
+    @staticmethod
+    def reference(n, gamma, delta):
+        """2 int_0^sqrt(delta) (s^2 + gamma)^((n-5)/2) ds to 30 digits."""
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            power = mpmath.mpf(n - 5) / 2
+            return float(2 * mpmath.quad(lambda s: (s * s + g) ** power,
+                                         [0, mpmath.sqrt(g),
+                                          mpmath.sqrt(delta)]))
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 2e-3,
+                                       0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_30_digit_reference(self, n, gamma, delta):
+        ref = self.reference(n, gamma, delta)
+        got = regulator_integral(n, gamma, delta).numeric
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_asymptote_forms(self):
         g = 1e-4

@@ -1,11 +1,19 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from cavityheat.casimir import RegulatorKind, min_usable_gamma
 from cavityheat.cli import main
+from cavityheat.errors import (
+    BracketError,
+    EvaluationError,
+    IllPosedFitError,
+    SingularChartError,
+)
 from cavityheat.spectrum import ModeList
 
 BAD_TOPOLOGY_SURFACE = """\
@@ -131,6 +139,48 @@ class TestUsageErrors:
         assert doc["diagnostics"] == {"type": "OrientationError"}
         assert "signed volume" in doc["error"]
 
+    @pytest.mark.parametrize("target, error, argv", [
+        ("cavityheat.spectrum.em_modes",
+         BracketError("bracket lost its sign change"), ("modes",)),
+        ("cavityheat.coefficients.compute_moments",
+         SingularChartError("c", 0.0, 0.0, 0.0), ("coeffs",)),
+        ("cavityheat.asymptotics.fit_coefficients",
+         IllPosedFitError("condition number 1e12"),
+         ("fit", "--trace", "trace.csv")),
+        ("cavityheat.coefficients.compute_moments",
+         EvaluationError("non-finite integrand"), ("coeffs",)),
+    ], ids=["BracketError", "SingularChartError", "IllPosedFitError",
+            "EvaluationError"])
+    def test_numerical_class_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     target, error, argv):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trace.csv").write_text("t,K,bound\n" + "".join(
+            f"{t:.6g},1.0,0.0\n" for t in np.geomspace(0.01, 0.1, 12)))
+        assert run(tmp_path, *argv) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["diagnostics"] == {"type": type(error).__name__}
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 5.0), (0.02, 0.01), (0.0, 0.1)],
+                             ids=["above-delta", "above-hi", "zero"])
+    def test_casimir_gamma_lo_outside_domain_writes_nothing(
+            self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "out"
+        assert run(tmp_path, "modes", "--omega-max", 20) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        capsys.readouterr()
+        assert main(["casimir", "--modes", str(tmp_path / "modes_em.csv"),
+                     "--coeffs", str(tmp_path / "coeffs.json"),
+                     "--gamma-lo", str(lo), "--gamma-hi", str(hi),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gamma-lo") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_modes_trace_fit_roundtrip(self, tmp_path):
@@ -188,6 +238,19 @@ class TestPipeline:
         assert doc["scan"]["finite"] is True
         assert doc["prediction"]["gamma^-1/2"] == 0.0
         assert (tmp_path / "scan.csv").exists()
+
+    def test_casimir_regulator_integrals_at_small_gamma_lo(self, tmp_path):
+        assert run(tmp_path, "modes", "--p", "em", "--omega-max", 40) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        assert run(tmp_path, "casimir", "--modes", tmp_path / "modes_em.csv",
+                   "--coeffs", tmp_path / "coeffs.json",
+                   "--gamma-lo", 2e-3) == 0
+        doc = json.loads((tmp_path / "casimir.json").read_text())
+        integrals = doc["regulator_integrals"]
+        assert sorted(integrals) == ["0", "1", "2", "3", "4"]
+        assert all(math.isfinite(ri["numeric"]) and ri["numeric"] > 0
+                   for ri in integrals.values())
 
     def test_verify_passes(self, tmp_path):
         assert run(tmp_path, "verify", "--seed", 7, "--points", 2,

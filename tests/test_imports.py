@@ -1,0 +1,84 @@
+"""Import footprint: the lazy package and what each subcommand loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cavityheat
+import cavityheat.errors as errors
+from cavityheat.cli import main
+
+SRC = str(Path(cavityheat.__file__).resolve().parents[1])
+HEAVY = ("numpy", "scipy", "scipy.integrate", "sympy")
+
+
+def loaded_after(code, cwd):
+    """The HEAVY modules a fresh interpreter holds after running code."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_numerics(tmp_path):
+    code = "import cavityheat, cavityheat.errors"
+    assert loaded_after(code, tmp_path) == set()
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline")
+    for argv in (("modes", "--omega-max", "40"),
+                 ("trace", "--modes", out / "modes_em.csv",
+                  "--t-lo", "0.015", "--t-hi", "0.09"),
+                 ("coeffs", "--surface", "sphere", "--quad-order", "16")):
+        assert main([str(a) for a in argv] + ["--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["fit", "--trace", "trace.csv"], {"scipy", "sympy"}),
+    (["modes", "--omega-max", "20", "--out", "small"],
+     {"sympy", "scipy.integrate"}),
+    (["trace", "--modes", "modes_em.csv", "--t-lo", "0.015",
+      "--t-hi", "0.09"], {"sympy", "scipy.integrate"}),
+    (["casimir", "--modes", "modes_em.csv", "--coeffs", "coeffs.json",
+      "--regulator", "sqrt"], {"sympy", "scipy.integrate"}),
+], ids=["fit", "modes", "trace", "casimir"])
+def test_subcommand_footprint(pipeline_dir, argv, absent):
+    code = f"from cavityheat.cli import main\nassert main({argv!r}) == 0"
+    assert not loaded_after(code, pipeline_dir) & absent
+
+
+def test_every_public_name_resolves():
+    for name in cavityheat.__all__:
+        getattr(cavityheat, name)
+    assert set(dir(cavityheat)) >= set(cavityheat.__all__)
+    namespace = {}
+    exec("from cavityheat import *", namespace)
+    assert set(namespace) >= set(cavityheat.__all__)
+    with pytest.raises(AttributeError):
+        cavityheat.no_such_name
+
+
+@pytest.mark.parametrize("name, module", [
+    ("ChartError", "cavityheat.geometry.charts"),
+    ("SingularChartError", "cavityheat.geometry"),
+    ("EvaluationError", "cavityheat.geometry.quadrature"),
+    ("OrientationError", "cavityheat.geometry"),
+    ("IllPosedFitError", "cavityheat.asymptotics"),
+    ("CutoffTooLowError", "cavityheat.spectrum"),
+    ("BracketError", "cavityheat.spectrum"),
+    ("SurfaceFileError", "cavityheat.surfacefile"),
+])
+def test_error_classes_are_shared(name, module):
+    assert getattr(importlib.import_module(module), name) \
+        is getattr(errors, name)

@@ -297,7 +297,7 @@ class TestModeListPlumbing:
         assert shifted.density == fresh.density != em30.density
 
     @pytest.mark.parametrize("name", ["family", "l", "m", "multiplicity",
-                                      "lam"])
+                                      "lam", "omega"])
     def test_arrays_are_read_only(self, em30, name):
         column = getattr(em30, name)
         with pytest.raises(ValueError, match="read-only"):
