@@ -18,12 +18,19 @@ spherical Bessel functions interlace, so every root is isolated in a
 bracket that provably contains exactly one sign change.  The
 enumerations of the derivative families use the same interlacing plus
 the turning point sqrt(l(l+1)), below which j_l is strictly increasing.
-All brackets of one zero-ladder level, or of one derivative family over
-every l, are refined together: vectorised Illinois (false-position)
+
+One zero ladder serves every family of a cutoff x_max = omega_max * R:
+the zeros of j_0..j_l_max, trimmed to what the interlacing chain needs
+(each order's zeros at or below x_max plus at least one more).  Its
+levels are bracketed one after another but refined only coarsely; one
+batched solve then finishes all of them, as one solve finishes each
+derivative family over every l.  Vectorised Illinois (false-position)
 steps shrink each bracket to a few ulp, and bisection finishes it down
 to the two adjacent floats that carry the sign change.  Every step keeps
 the sign change, so no root can be skipped, and each root is the one
-plain bisection of its bracket ends on, to the last bit.
+plain bisection of its bracket ends on, to the last bit.  Every x the
+enumerator evaluates is at most (int(x_max) + 3) pi, inside the domain
+BESSEL certifies for cutoffs up to 200.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +76,12 @@ FAMILIES = ("TE", "TM", "DIRICHLET", "NEUMANN")
 TAIL_CALIBRATION_WINDOW = 0.5
 TAIL_DENSITY_RELERR = 0.04
 
+# Width each zero-ladder level is refined to before the next level is
+# bracketed from it: far below the gap between zeros of neighbouring
+# orders (>= 1.017 for cutoffs up to 200), which a coarse bracket must
+# not swallow, else the next level fails its sign check.
+_COARSE_WIDTH = 1e-3
+
 
 @dataclass(frozen=True)
 class SphericalBesselContract:
@@ -81,7 +94,7 @@ class SphericalBesselContract:
     max(|j_l|, |j_l'|), which never vanishes.
     """
 
-    x_max: float = 210.0
+    x_max: float = 640.0
     l_max: int = 205
     rtol: float = 1e-12
 
@@ -149,15 +162,7 @@ def _bisect_brackets(f, l, lo, hi):
     Every step keeps the sign change, so a bracketed root cannot be
     lost, and no bracket's result depends on another's.
     """
-    l = np.broadcast_to(l, np.shape(lo))
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    n = len(lo)
-    ends = f(np.concatenate([l, l]), np.concatenate([lo, hi]))
-    flo, fhi = ends[:n], ends[n:]
-    if np.any(flo * fhi > 0):
-        raise BracketError("bracket without sign change")
-    _false_position(f, l, lo, hi, flo, fhi)
+    l, lo, hi, flo = _shrink_brackets(f, l, lo, hi)
     idx = np.flatnonzero(hi > np.nextafter(lo, np.inf))
     while len(idx):
         a, b, fa = lo[idx], hi[idx], flo[idx]
@@ -172,20 +177,40 @@ def _bisect_brackets(f, l, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _false_position(f, l, lo, hi, flo, fhi):
+def _shrink_brackets(f, l, lo, hi, width=0.0):
+    """Sign-change brackets [lo_i, hi_i] of f(l_i, .) shrunk by Illinois
+    steps to at most max(width, 16 ulp); returns (l, lo, hi, sign of f(lo)).
+
+    Raises BracketError when f has the same sign at both ends of a
+    bracket.
+    """
+    l = np.broadcast_to(l, np.shape(lo))
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    n = len(lo)
+    ends = f(np.concatenate([l, l]), np.concatenate([lo, hi]))
+    flo, fhi = ends[:n], ends[n:]
+    if np.any(flo * fhi > 0):
+        raise BracketError("bracket without sign change")
+    _false_position(f, l, lo, hi, flo, fhi, width)
+    return l, lo, hi, flo
+
+
+def _false_position(f, l, lo, hi, flo, fhi, width=0.0):
     """Illinois steps on the brackets whose end values are both nonzero.
 
-    Shrinks [lo, hi] in place to at most 16 ulp (at most 40 steps) and
-    leaves in flo the sign of f(lo), not its size.  Each iterate is kept
-    at least 4 ulp inside its bracket (Brent's minimum step), so a root
-    sitting on one end cannot stall the bracket at bisection speed.
+    Shrinks [lo, hi] in place to at most max(width, 16 ulp) (at most 40
+    steps) and leaves in flo the sign of f(lo), not its size.  Each
+    iterate is kept at least 4 ulp inside its bracket (Brent's minimum
+    step), so a root sitting on one end cannot stall the bracket at
+    bisection speed.
     """
     idx = np.flatnonzero((flo != 0) & (fhi != 0))
     a, b, fa, fb = lo[idx], hi[idx], flo[idx], fhi[idx]
     moved = np.zeros(len(idx), dtype=np.int8)   # end replaced last: -1 a, 1 b
     for _ in range(40):
         ulp = np.spacing(b)
-        done = b - a <= 16 * ulp
+        done = b - a <= np.maximum(16 * ulp, width)
         lo[idx[done]], hi[idx[done]], flo[idx[done]] = a[done], b[done], fa[done]
         idx, a, b, fa, fb, moved, ulp = (
             v[~done] for v in (idx, a, b, fa, fb, moved, ulp))
@@ -205,19 +230,50 @@ def _false_position(f, l, lo, hi, flo, fhi):
     lo[idx], hi[idx], flo[idx] = a, b, fa
 
 
-def _zero_ladder(x_max, l_max):
-    """zeros[l] = consecutive positive zeros of j_l, padded beyond x_max.
-
-    Level 0 is exact (m pi); each next level is bracketed between
-    consecutive zeros of the previous order, losing one root per level,
-    so the initial padding of l_max extra zeros keeps every level
-    covering x_max.
+@lru_cache(maxsize=1)
+def _zero_ladder(x_max):
+    """zeros[l] = the first l_max + 2 - l positive zeros of j_l, for
+    l = 0..l_max = int(x_max) + 1, as read-only arrays; kept for the last
+    x_max.  Enough, since j_(l+1/2,1) > l + 1/2 and the zero spacing
+    exceeds pi, so j_l has at most l_max + 1 - l zeros at or below x_max.
+    No x evaluated exceeds the last level-0 zero (exact, m pi), which must
+    lie inside the verified Bessel domain.
     """
-    n0 = int(math.ceil(x_max / math.pi)) + l_max + 2
-    zeros = [np.arange(1, n0 + 1) * math.pi]
+    l_max = int(x_max) + 1
+    level0 = np.arange(1, l_max + 3) * math.pi
+    if level0[-1] > BESSEL.x_max or l_max > BESSEL.l_max:
+        raise ValueError(
+            f"zero ladder for x_max = {x_max:g} leaves the verified Bessel "
+            f"domain (x <= {BESSEL.x_max:g}, l <= {BESSEL.l_max})")
+    return _climb(level0, l_max, x_max)
+
+
+def _climb(level0, l_max, x_max):
+    """Zeros of j_0..j_l_max from those of j_0, one fewer per order.
+
+    Bracket k of level l runs from the upper end of level l-1's bracket k
+    to the lower end of its bracket k + 1: inside the interlacing
+    interval (DLMF 10.21(i)), so it holds at most one zero, and its sign
+    change proves it holds one.  Levels are refined in turn only to
+    _COARSE_WIDTH; one batched solve then finishes every bracket.
+    Raises BracketError unless every level reaches beyond x_max.
+    """
+    lo = hi = level0
+    ls, los, his = [], [], []
     for l in range(1, l_max + 1):
-        prev = zeros[-1]
-        zeros.append(_bisect_brackets(BESSEL.jl, l, prev[:-1], prev[1:]))
+        _, lo, hi, _ = _shrink_brackets(BESSEL.jl, l, hi[:-1], lo[1:],
+                                        _COARSE_WIDTH)
+        ls.append(np.full(len(lo), l))
+        los.append(lo)
+        his.append(hi)
+    roots = _bisect_brackets(BESSEL.jl, np.concatenate(ls),
+                             np.concatenate(los), np.concatenate(his))
+    zeros = (level0, *np.split(roots, np.cumsum([len(lo) for lo in los])[:-1]))
+    for l, z in enumerate(zeros):
+        if not np.any(z > x_max):
+            raise BracketError(
+                f"zero ladder level {l} ends at or below x_max = {x_max:g}")
+        z.setflags(write=False)
     return zeros
 
 
@@ -259,10 +315,9 @@ def _enumerate(families, omega_max, radius):
     x_max = omega_max * radius
     if x_max > 200.0:
         raise ValueError(
-            f"omega_max * radius = {x_max:g} exceeds the verified Bessel "
-            "domain (<= 200)")
-    l_max = int(x_max) + 1
-    ladder = _zero_ladder(x_max, l_max)
+            f"omega_max * radius = {x_max:g} exceeds the cutoff limit of "
+            "the verified Bessel domain (<= 200)")
+    ladder = _zero_ladder(x_max)
     below = [z[z <= x_max] for z in ladder]
     l_zero = np.concatenate([np.full(len(z), l) for l, z in enumerate(below)])
     zeros = np.concatenate(below)
@@ -312,6 +367,19 @@ class ModeList:
             raise ValueError("empty mode list")
         if np.any(lam <= 0):
             raise ValueError("zero or negative eigenvalue in mode list")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("non-finite eigenvalue in mode list")
+        family = np.asarray(self.family)
+        unknown = set(family.tolist()) - set(FAMILIES)
+        if unknown:
+            raise ValueError(f"unknown mode family {sorted(unknown)[0]!r}; "
+                             f"expected one of {', '.join(FAMILIES)}")
+        object.__setattr__(self, "family", family.astype("U9"))
+        for name in ("radius", "omega_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
         if np.any(np.asarray(self.multiplicity) < 1):
             raise ValueError("multiplicities must be positive")
         order = np.lexsort((self.l, self.family, lam))
@@ -428,9 +496,20 @@ class ModeList:
                 f"missing sidecar {sidecar_path.name}; mode CSVs carry their "
                 "radius and cutoff in a JSON sidecar")
         meta = json.loads(sidecar_path.read_text())
+        try:
+            radius, omega_max = (float(meta[k]) for k in ("radius", "omega_max"))
+        except KeyError as err:
+            raise ValueError(
+                f"{sidecar_path.name} has no {err.args[0]!r} key") from None
+        except TypeError:
+            raise ValueError(f"{sidecar_path.name} must map 'radius' and "
+                             "'omega_max' to numbers") from None
         rows = {"family": [], "l": [], "m": [], "multiplicity": [], "lam": []}
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
+            for column in ("family", "l", "m", "multiplicity", "lambda"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path.name} has no {column!r} column")
             for rec in reader:
                 rows["family"].append(rec["family"])
                 rows["l"].append(int(rec["l"]))
@@ -438,12 +517,11 @@ class ModeList:
                 rows["multiplicity"].append(int(rec["multiplicity"]))
                 rows["lam"].append(float(rec["lambda"]))
         return cls(
-            family=np.array(rows["family"], dtype="U9"),
+            family=np.array(rows["family"]),
             l=np.array(rows["l"]), m=np.array(rows["m"]),
             multiplicity=np.array(rows["multiplicity"]),
             lam=np.array(rows["lam"]),
-            radius=float(meta["radius"]), omega_max=float(meta["omega_max"]),
-            note=meta.get("note", ""),
+            radius=radius, omega_max=omega_max, note=meta.get("note", ""),
         )
 
 

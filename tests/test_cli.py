@@ -120,6 +120,40 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit", [
+        ("csv", lambda text: text.replace(text.splitlines()[1].split(",")[-1],
+                                          "nan", 1)),
+        ("csv", lambda text: text.replace(text.splitlines()[1].split(",")[-1],
+                                          "inf", 1)),
+        ("csv", lambda text: text.replace("\nTM,", "\nXX,", 1)),
+        ("csv", lambda text: text.replace("\nTM,", "\nDIRICHLETS,", 1)),
+        ("csv", lambda text: text.replace(",lambda", ",lam", 1)),
+        ("csv", lambda text: text.replace(text.splitlines()[1], "TM,1,1", 1)),
+        ("meta", lambda meta: {**meta, "radius": -1}),
+        ("meta", lambda meta: {k: v for k, v in meta.items()
+                               if k != "omega_max"}),
+        ("meta", lambda meta: {**meta, "radius": None}),
+        ("meta", lambda meta: [meta]),
+    ], ids=["nan-lambda", "inf-lambda", "unknown-family", "long-family",
+            "missing-column", "short-row", "negative-radius", "missing-key", "null-radius",
+            "not-an-object"])
+    def test_bad_mode_file_exits_1(self, tmp_path, capsys, edit):
+        assert run(tmp_path, "modes", "--omega-max", 10) == 0
+        kind, change = edit
+        path = tmp_path / ("modes_em.csv" if kind == "csv"
+                           else "modes_em.csv.meta.json")
+        text = path.read_text()
+        edited = (change(text) if kind == "csv"
+                  else json.dumps(change(json.loads(text))))
+        assert edited != text
+        path.write_text(edited)
+        capsys.readouterr()
+        assert run(tmp_path, "trace", "--modes", tmp_path / "modes_em.csv",
+                   "--t-lo", 0.05) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("text", [None, "schema 1\nfrobnicate 3\n"],
                              ids=["missing", "malformed"])
     def test_bad_surface_file_exits_1(self, tmp_path, capsys, text):

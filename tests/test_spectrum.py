@@ -8,8 +8,10 @@ Frozen 30-digit root references (mpmath, sqrt(pi/2x) J_(l+1/2)):
 """
 
 import math
+import tempfile
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,13 @@ def em30():
 @pytest.fixture(scope="module")
 def em60():
     return em_modes(60.0)
+
+
+@pytest.fixture(scope="module")
+def ball20():
+    """All four families of the unit ball up to omega = 20."""
+    return em_modes(20.0).union(dirichlet_modes(20.0)).union(
+        neumann_modes(20.0))
 
 
 def single_mode(lam=1.0, mult=1, family="TE", l=1):
@@ -275,6 +284,42 @@ class TestModeListPlumbing:
         assert back.radius == em30.radius
         assert list(back.family[:5]) == list(em30.family[:5])
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), radius=st.floats(0.05, 20.0))
+    def test_csv_roundtrip_is_exact(self, ball20, data, radius):
+        rows = data.draw(st.lists(st.integers(0, len(ball20) - 1),
+                                  min_size=1, max_size=60, unique=True))
+        modes = ModeList(
+            family=ball20.family[rows], l=ball20.l[rows], m=ball20.m[rows],
+            multiplicity=ball20.multiplicity[rows],
+            lam=ball20.lam[rows] / radius ** 2, radius=radius,
+            omega_max=ball20.omega_max / radius)
+        with tempfile.TemporaryDirectory() as tmp:
+            modes.to_csv(Path(tmp) / "modes.csv")
+            back = ModeList.from_csv(Path(tmp) / "modes.csv")
+        for name in ("family", "l", "m", "multiplicity", "lam"):
+            assert np.array_equal(getattr(back, name), getattr(modes, name))
+        assert back.radius == modes.radius
+        assert back.omega_max == modes.omega_max
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("lam", math.nan, "non-finite eigenvalue"),
+        ("lam", math.inf, "non-finite eigenvalue"),
+        ("family", "XX", "unknown mode family 'XX'"),
+        ("radius", -1.0, "radius must be finite and positive"),
+        ("radius", math.inf, "radius must be finite and positive"),
+        ("omega_max", math.nan, "omega_max must be finite and positive"),
+        ("omega_max", 0.0, "omega_max must be finite and positive"),
+    ])
+    def test_invalid_rows_and_attributes_rejected(self, field, value, match):
+        kwargs = dict(family=np.array(["TE"], dtype="U9"), l=np.array([1]),
+                      m=np.array([1]), multiplicity=np.array([3]),
+                      lam=np.array([1.0]), radius=1.0, omega_max=2.0)
+        kwargs[field] = (np.array([value], dtype=kwargs[field].dtype)
+                         if field in ("lam", "family") else value)
+        with pytest.raises(ValueError, match=match):
+            ModeList(**kwargs)
+
     def test_missing_sidecar_rejected(self, tmp_path, em30):
         path = tmp_path / "modes.csv"
         em30.to_csv(path)
@@ -344,8 +389,11 @@ def bisect_reference(f, lo, hi, iterations=63):
 
 @pytest.fixture(scope="module")
 def ladder():
-    """Zeros of j_0..j_201, each level covering x <= 200."""
-    return spectrum._zero_ladder(200.0, 201)
+    """Zeros of j_0..j_201, each level covering x <= 200; level 201
+    holds two."""
+    zeros = spectrum._zero_ladder(200.0)
+    assert len(zeros) == 202 and len(zeros[201]) >= 2
+    return zeros
 
 
 def consecutive_zero_brackets(ladder, data, order):
@@ -406,6 +454,78 @@ class TestRootSolver:
     def test_lost_sign_change_rejected(self):
         with pytest.raises(spectrum.BracketError):
             spectrum._bisect_brackets(BESSEL.jl, 1, [1.0, 4.0], [2.0, 5.0])
+
+
+class TestZeroLadder:
+    def test_three_families_share_one_ladder(self, monkeypatch):
+        spectrum._zero_ladder.cache_clear()
+        solve = spectrum._bisect_brackets
+        ladder_solves = []
+
+        def counted(f, *args):
+            if f == BESSEL.jl:
+                ladder_solves.append(args)
+            return solve(f, *args)
+
+        monkeypatch.setattr(spectrum, "_bisect_brackets", counted)
+        for enumerate_modes in (em_modes, dirichlet_modes, neumann_modes):
+            enumerate_modes(31.0)
+        assert len(ladder_solves) == 1
+
+    def test_levels_are_read_only(self, ladder):
+        assert isinstance(ladder, tuple)
+        for z in (ladder[0], ladder[1], ladder[201]):
+            with pytest.raises(ValueError, match="read-only"):
+                z[0] = 1.0
+
+    @pytest.mark.parametrize("x_max", [20.0, 60.0, 100.0, 200.0])
+    def test_each_level_covers_x_max(self, x_max):
+        zeros = spectrum._zero_ladder(x_max)
+        assert len(zeros) == int(x_max) + 2
+        # independent count: j_l has at most one zero per grid cell,
+        # since its zeros lie more than pi apart
+        grid = np.linspace(0.05, x_max, int(x_max / 0.05))
+        l = np.arange(len(zeros))[:, None]
+        signs = np.sign(spherical_jn(l, grid))
+        counts = np.sum(signs[:, 1:] * signs[:, :-1] < 0, axis=1)
+        for l, z in enumerate(zeros):
+            assert np.all(np.diff(z) > 0)
+            assert np.count_nonzero(z <= x_max) == counts[l], l
+            assert z[-1] > x_max, l
+            if l:
+                prev = zeros[l - 1]
+                assert np.all((prev[:len(z)] < z) & (z < prev[1:len(z) + 1]))
+
+    def test_short_level_zero_rejected(self):
+        level0 = np.arange(1, 12) * math.pi   # 11 zeros; 30 + 1 + 2 needed
+        with pytest.raises(spectrum.BracketError, match="level"):
+            spectrum._climb(level0, 31, 30.0)
+
+    def test_evaluations_stay_in_the_certified_domain(self, monkeypatch):
+        spectrum._zero_ladder.cache_clear()
+        jn = spectrum.spherical_jn
+        largest = [0.0]
+
+        def recorded(l, x, *args, **kwargs):
+            largest[0] = max(largest[0], float(np.max(x)))
+            return jn(l, x, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "spherical_jn", recorded)
+        for enumerate_modes in (em_modes, dirichlet_modes, neumann_modes):
+            enumerate_modes(200.0)
+        assert 600.0 < largest[0] <= BESSEL.x_max
+
+    def test_ladder_outside_the_contract_rejected(self, monkeypatch):
+        spectrum._zero_ladder.cache_clear()
+        monkeypatch.setattr(spectrum, "BESSEL",
+                            spectrum.SphericalBesselContract(x_max=300.0))
+        with pytest.raises(ValueError, match="verified Bessel domain"):
+            em_modes(100.0)
+        spectrum._zero_ladder.cache_clear()
+        monkeypatch.setattr(spectrum, "BESSEL",
+                            spectrum.SphericalBesselContract(l_max=150))
+        with pytest.raises(ValueError, match="verified Bessel domain"):
+            em_modes(150.0)
 
 
 class TestBesselContract:
