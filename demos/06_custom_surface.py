@@ -1,15 +1,16 @@
 """User-defined surfaces from declarative text, plus identity checks.
 
-Parses a squashed-torus definition, runs the full coefficient pipeline
-on it, and verifies the boundary tensor-trace identities pointwise by
-brute-force covariant differentiation.
+Parses the squashed-torus definition in ``squashed_torus.surf``, runs
+the full coefficient pipeline on it, and verifies the boundary
+tensor-trace identities pointwise by exact covariant differentiation.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
-from cavityheat import QuadratureSpec, loads_surface
+from cavityheat import QuadratureSpec, load_surface
 from cavityheat.coefficients import (
     a3_local,
     compute_moments,
@@ -18,29 +19,7 @@ from cavityheat.coefficients import (
 )
 from cavityheat.geometry.identities import curvature_identity_residuals
 
-DEFINITION = """\
-schema 1
-name squashed-torus
-components 1
-genera 1
-
-param R 2.0
-param r 0.6
-param squash 0.8
-
-chart
-  domain u 0 2*pi
-  domain v 0 2*pi
-  periodic u
-  periodic v
-  x (R + r*cos(u))*cos(v)
-  y (R + r*cos(u))*sin(v)
-  z squash*r*sin(u)
-  normal inward
-end
-"""
-
-model = loads_surface(DEFINITION)
+model = load_surface(Path(__file__).with_name("squashed_torus.surf"))
 quad = QuadratureSpec(order=32)
 print(f"parsed {model.name!r}: {model.topology.components} component(s), "
       f"genera {model.topology.genera}")

@@ -10,6 +10,15 @@ class ChartError(ValueError):
     """Invalid chart definition or evaluation request."""
 
 
+class ExpressionError(ChartError):
+    """An embedding expression that does not compile; ``offset`` is the
+    0-based position of the offending part in the expression."""
+
+    def __init__(self, message, offset):
+        self.offset = offset
+        super().__init__(message)
+
+
 class SingularChartError(ChartError):
     """The immersion degenerates (|r_u x r_v| ~ 0) at a parameter point."""
 

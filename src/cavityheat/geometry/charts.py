@@ -1,9 +1,10 @@
-"""Parametric surface charts with exact derivative oracles.
+"""Parametric surface charts given by expressions in u and v.
 
-A chart embeds a parameter rectangle into R^3.  Charts built from
-symbolic expressions differentiate the embedding exactly (to any order);
-charts wrapping a bare callable fall back to Richardson-extrapolated
-central differences and emit a warning about the reduced accuracy.
+A chart embeds a parameter rectangle into R^3 through three expressions
+in the grammar of :mod:`cavityheat.surfacefile`.  They are compiled once
+into evaluators of truncated Taylor series (:mod:`.jets`), so every
+derivative of the embedding is exact up to rounding, at any order and
+on any array of points.
 
 Orientation convention: the unit normal reported by a chart is the
 *inward* normal of the enclosed solid.  ``normal_sign`` orients the raw
@@ -13,120 +14,132 @@ parametrised the usual way carries tr L = +2/R and det L = +1/R^2.
 
 from __future__ import annotations
 
-import warnings
+import ast
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from ..errors import ChartError, SingularChartError
+from ..errors import ChartError, ExpressionError, SingularChartError
+from . import jets
 
 __all__ = [
     "ChartError",
     "SingularChartError",
     "SurfaceChart",
+    "compile_expression",
 ]
 
-# Functions admitted in user-supplied embedding expressions.
-ALLOWED_FUNCTIONS = {
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "sinh": sp.sinh,
-    "cosh": sp.cosh,
-    "exp": sp.exp,
-    "sqrt": sp.sqrt,
+# the functions of the grammar: (float version, jet version)
+_FUNCTIONS = {
+    "sin": (math.sin, jets.sin),
+    "cos": (math.cos, jets.cos),
+    "sinh": (math.sinh, jets.sinh),
+    "cosh": (math.cosh, jets.cosh),
+    "exp": (math.exp, jets.exp),
+    "sqrt": (math.sqrt, jets.sqrt),
 }
+_BINOPS = {ast.Add: (operator.add,) * 2, ast.Sub: (operator.sub,) * 2,
+           ast.Mult: (operator.mul,) * 2, ast.Div: (operator.truediv,) * 2,
+           # math.pow raises where float ** float would turn complex
+           ast.Pow: (math.pow, operator.pow)}
+_UNARY = {ast.UAdd: (operator.pos,) * 2, ast.USub: (operator.neg,) * 2}
+_MAX_DEPTH = 300
+_TOO_DEEP = f"expression nested more than {_MAX_DEPTH} levels deep"
 
 
-def _broadcast_components(values, u, v):
-    """Stack lambdified component results into a (3, ...) float array."""
-    shape = np.broadcast(u, v).shape
-    out = np.empty((3,) + shape, dtype=float)
-    for i, val in enumerate(values):
-        out[i] = val
-    return out
+def compile_expression(text, names, variables=()):
+    """Compile one expression of the grammar.
 
-
-class _SymbolicDerivs:
-    """Derivative oracle backed by symbolic differentiation."""
-
-    def __init__(self, u, v, components):
-        self.u = u
-        self.v = v
-        self.components = tuple(sp.sympify(c) for c in components)
-        self._fns = {}
-
-    def __call__(self, du, dv):
-        key = (du, dv)
-        fn = self._fns.get(key)
-        if fn is None:
-            exprs = [sp.diff(c, self.u, du, self.v, dv) for c in self.components]
-            raw = sp.lambdify((self.u, self.v), exprs, modules="numpy", cse=True)
-
-            def fn(uu, vv, _raw=raw):
-                uu = np.asarray(uu, dtype=float)
-                vv = np.asarray(vv, dtype=float)
-                return _broadcast_components(_raw(uu, vv), uu, vv)
-
-            self._fns[key] = fn
-        return fn
-
-
-class _FiniteDifferenceDerivs:
-    """Derivative oracle via nested Richardson central differences.
-
-    Fallback for charts defined by a bare callable.  Accuracy decays with
-    the derivative order (roughly 1e-10 for first, 1e-6 for third order);
-    symbolic charts should be preferred whenever expressions exist.
+    ``names`` binds names to floats; ``variables`` (a subset of
+    ("u", "v")) are left free.  Every sub-expression free of them is
+    evaluated here, so an arithmetic error in it raises
+    :class:`ExpressionError` with its 0-based offset.  Returns a float,
+    or a function of the u and v jets returning the expression's jet.
     """
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as err:
+        raise ExpressionError(f"syntax error in expression: {err.msg}",
+                              (err.offset or 1) - 1) from None
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP, 0) from None
+    return _compile(tree.body, names, variables)
 
-    def __init__(self, fn, u_span, v_span, rel_step=1e-3):
-        self.fn = fn
-        self.hu = rel_step * u_span
-        self.hv = rel_step * v_span
-        self._fns = {}
 
-    def _derive(self, base, which):
-        h = self.hu if which == "u" else self.hv
+def _compile(node, names, variables):
+    def fail(msg, n):
+        raise ExpressionError(msg, n.col_offset)
 
-        def d(u, v, _f=base, _h=h, _which=which):
-            def shift(s):
-                if _which == "u":
-                    return _f(u + s, v)
-                return _f(u, v + s)
+    def apply(n, ops, *args):
+        """ops = (float op, jet op) on the compiled args: a float now, or
+        a function of the u and v jets."""
+        if any(callable(a) for a in args):
+            op = ops[1]
+            return lambda u, v: op(*(a(u, v) if callable(a) else a
+                                     for a in args))
+        try:
+            value = ops[0](*args)
+        except ZeroDivisionError:
+            fail("division by zero", n)
+        except OverflowError:
+            fail("value overflows a float", n)
+        except ValueError:
+            fail("math domain error", n)
+        if not math.isfinite(value):
+            fail("non-finite value", n)
+        return value
 
-            d1 = (shift(_h) - shift(-_h)) / (2.0 * _h)
-            d2 = (shift(_h / 2) - shift(-_h / 2)) / (_h)
-            return (4.0 * d2 - d1) / 3.0
+    def conv(n, depth=0):
+        # the compiled closures nest as deep as the expression; the
+        # bound keeps compiling and evaluating inside the interpreter's
+        # recursion limit
+        if depth > _MAX_DEPTH:
+            fail(_TOO_DEEP, n)
+        depth += 1
+        if isinstance(n, ast.Constant):
+            if type(n.value) in (int, float):
+                return apply(n, (float, None), n.value)
+            fail(f"unsupported literal {n.value!r}", n)
+        if isinstance(n, ast.Name):
+            if n.id in variables:
+                return (lambda u, v: u) if n.id == "u" else (lambda u, v: v)
+            if n.id in names:
+                return names[n.id]
+            fail(f"unknown name {n.id!r} (declare it with 'param')", n)
+        if isinstance(n, ast.UnaryOp) and type(n.op) in _UNARY:
+            return apply(n, _UNARY[type(n.op)], conv(n.operand, depth))
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
+            left, right = conv(n.left, depth), conv(n.right, depth)
+            if isinstance(n.op, ast.Div) and right == 0:
+                fail("division by zero", n)
+            return apply(n, _BINOPS[type(n.op)], left, right)
+        if isinstance(n, ast.Call):
+            if not isinstance(n.func, ast.Name):
+                fail("only plain function calls are allowed", n)
+            fname = n.func.id
+            if fname not in _FUNCTIONS:
+                fail(f"unknown function {fname!r} (allowed: "
+                     f"{', '.join(sorted(_FUNCTIONS))})", n)
+            if len(n.args) != 1 or n.keywords:
+                fail(f"{fname} takes exactly one argument", n)
+            return apply(n, _FUNCTIONS[fname], conv(n.args[0], depth))
+        fail(f"unsupported syntax ({type(n).__name__})", n)
 
-        return d
-
-    def __call__(self, du, dv):
-        key = (du, dv)
-        fn = self._fns.get(key)
-        if fn is None:
-            if du + dv == 0:
-                def fn(u, v):
-                    u = np.asarray(u, dtype=float)
-                    v = np.asarray(v, dtype=float)
-                    return _broadcast_components(self.fn(u, v), u, v)
-            elif dv > 0:
-                fn = self._derive(self(du, dv - 1), "v")
-            else:
-                fn = self._derive(self(du - 1, 0), "u")
-            self._fns[key] = fn
-        return fn
+    return conv(node)
 
 
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
-    """One parametric patch of a surface, with its derivative oracle.
+    """One parametric patch of a surface.
 
     Parameters are restricted to the open rectangle
     (u_range[0], u_range[1]) x (v_range[0], v_range[1]); periodic
     directions identify the two edges.  Coordinate singularities (e.g.
     sphere poles) must sit on the closed boundary of the rectangle, where
-    quadrature nodes never land.
+    quadrature nodes never land.  ``xyz`` holds the compiled embedding
+    components (see :func:`compile_expression`).
     """
 
     name: str
@@ -135,32 +148,20 @@ class SurfaceChart:
     periodic_u: bool
     periodic_v: bool
     normal_sign: int
-    _derivs: object
-
-    # -- construction --------------------------------------------------
+    xyz: tuple
 
     @classmethod
     def from_expressions(cls, x, y, z, *, u_range, v_range,
                          periodic_u=False, periodic_v=False,
                          normal_sign=1, params=None, name="chart"):
-        """Build a chart from sympy expressions (or strings) in u, v.
+        """Build a chart from expression strings in u, v.
 
-        ``params`` maps symbol names to numeric values; they are
-        substituted before compilation so the chart is self-contained.
+        ``params`` maps further names to numbers.
         """
-        u, v = sp.symbols("u v", real=True)
-        local = {"u": u, "v": v, "pi": sp.pi}
-        local.update(ALLOWED_FUNCTIONS)
-        comps = []
-        for c in (x, y, z):
-            e = sp.sympify(c, locals=dict(local)) if isinstance(c, str) else sp.sympify(c)
-            if params:
-                e = e.subs({sp.Symbol(k, real=True): val for k, val in params.items()})
-                e = e.subs({sp.Symbol(k): val for k, val in params.items()})
-            free = e.free_symbols - {u, v}
-            if free:
-                raise ChartError(f"unbound symbols in embedding: {sorted(map(str, free))}")
-            comps.append(e)
+        names = {"pi": math.pi}
+        names.update({k: float(val) for k, val in (params or {}).items()})
+        xyz = tuple(compile_expression(str(c), names, ("u", "v"))
+                    for c in (x, y, z))
         if normal_sign not in (-1, 1):
             raise ChartError("normal_sign must be +1 or -1")
         return cls(
@@ -170,50 +171,22 @@ class SurfaceChart:
             periodic_u=bool(periodic_u),
             periodic_v=bool(periodic_v),
             normal_sign=int(normal_sign),
-            _derivs=_SymbolicDerivs(u, v, comps),
+            xyz=xyz,
         )
 
-    @classmethod
-    def from_callable(cls, fn, *, u_range, v_range, periodic_u=False,
-                      periodic_v=False, normal_sign=1, name="chart",
-                      rel_step=1e-3):
-        """Build a chart from a bare callable (u, v) -> (3, ...) array.
+    def jet(self, u, v, order):
+        """The embedding's jet of the given order at the points (u, v).
 
-        Derivatives are approximated by central differences; fine for
-        exploratory work, too noisy for high-order curvature integrals.
+        Its values have shape (3, *broadcast shape of u and v).
         """
-        warnings.warn(
-            f"chart {name!r}: derivatives obtained by finite differences; "
-            "supply expressions for exact results",
-            stacklevel=2,
-        )
-        u_span = float(u_range[1]) - float(u_range[0])
-        v_span = float(v_range[1]) - float(v_range[0])
-        return cls(
-            name=name,
-            u_range=(float(u_range[0]), float(u_range[1])),
-            v_range=(float(v_range[0]), float(v_range[1])),
-            periodic_u=bool(periodic_u),
-            periodic_v=bool(periodic_v),
-            normal_sign=int(normal_sign),
-            _derivs=_FiniteDifferenceDerivs(fn, u_span, v_span, rel_step),
-        )
-
-    # -- oracle --------------------------------------------------------
+        ju, jv = jets.Jet.variable(u, 0, order), jets.Jet.variable(v, 1, order)
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        return jets.stack([f(ju, jv) if callable(f)
+                           else jets.Jet.constant(np.full(shape, f), order)
+                           for f in self.xyz])
 
     def deriv(self, du, dv):
         """Return the vectorised evaluator of d^(du+dv) r / du^du dv^dv."""
         if du < 0 or dv < 0:
             raise ChartError("derivative orders must be non-negative")
-        return self._derivs(du, dv)
-
-    def position(self, u, v):
-        return self.deriv(0, 0)(u, v)
-
-    @property
-    def u_span(self):
-        return self.u_range[1] - self.u_range[0]
-
-    @property
-    def v_span(self):
-        return self.v_range[1] - self.v_range[0]
+        return lambda u, v: self.jet(u, v, du + dv).derivative(du, dv)

@@ -1,19 +1,20 @@
-"""Curvature of parametric surfaces from the chart derivative oracle.
+"""Curvature of parametric surfaces from one jet of the embedding.
 
-All quantities are computed pointwise from exact embedding derivatives:
-first and second fundamental forms, the shape operator in an orthonormal
-tangent frame, principal curvatures, the tangential gradient of the mean
-curvature trace, and its Laplace-Beltrami (the latter by one level of
-Richardson differences applied to an exactly evaluated metric flux, so
-no fourth-order embedding derivatives are needed).
+Each evaluation takes the chart's embedding as a truncated Taylor series
+(:mod:`.jets`) and carries the fundamental forms, the inward unit normal
+and the shape operator through jet arithmetic, so every quantity is
+exact up to rounding: an order-2 jet gives the curvatures, order 3 the
+tangential gradient of tr L, and order 4 its Laplace-Beltrami.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .charts import SingularChartError, SurfaceChart
 
 __all__ = ["CurvatureSample", "curvature_at", "curvature_grid", "lap_trL_grid"]
@@ -21,122 +22,118 @@ __all__ = ["CurvatureSample", "curvature_at", "curvature_grid", "lap_trL_grid"]
 # |r_u x r_v| / (|r_u||r_v|) below this means the parametrisation is
 # effectively degenerate at the point.
 _SINGULAR_SINE = 1e-10
+# nodes per evaluation block (see _blockwise)
+_BLOCK = 1 << 14
 
 
 def _dot(a, b):
-    return np.einsum("i...,i...->...", a, b)
+    return (a * b).sum(0)
 
 
 def _cross(a, b):
-    return np.cross(a, b, axis=0)
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
+def surface_jets(chart: SurfaceChart, u, v, order):
+    """Jets of order ``order - 2`` of the local surface fields.
+
+    From one order-``order`` jet of the embedding at the points (u, v):
+    position ``r`` (full order), tangents ``ru, rv``, inward unit normal
+    ``n``, area element ``w``, metric ``E, F, G``, second fundamental
+    form ``e, f, g2`` and ``trL, detL``.  Raises ``SingularChartError``
+    where the immersion degenerates.
+    """
+    r = chart.jet(u, v, order)
+    k = order - 2
+    ru, rv = r.d(1, 0, k), r.d(0, 1, k)
+    E, F, G = _dot(ru, ru), _dot(ru, rv), _dot(rv, rv)
+    cross = _cross(ru, rv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = jets.sqrt(_dot(cross, cross))
+        sine = w.value / np.sqrt(E.value * G.value)
+    sine = np.where(np.isfinite(sine), sine, 0.0)
+    if not np.min(sine) >= _SINGULAR_SINE:
+        at = np.unravel_index(int(np.argmin(sine)), np.shape(sine))
+        ub, vb = (np.broadcast_to(x, np.shape(sine))[at] for x in (u, v))
+        raise SingularChartError(chart.name, float(ub), float(vb),
+                                 float(np.min(sine)))
+
+    n = cross * (chart.normal_sign / w)
+    e, f, g2 = (_dot(n, r.d(2, 0)), _dot(n, r.d(1, 1)), _dot(n, r.d(0, 2)))
+    den = E * G - F * F
+    return {
+        "r": r, "ru": ru, "rv": rv, "n": n, "w": w,
+        "E": E, "F": F, "G": G, "e": e, "f": f, "g2": g2,
+        "trL": (e * G - 2.0 * f * F + g2 * E) / den,
+        "detL": (e * g2 - f * f) / den,
+    }
+
+
+def _blockwise(fields, u, v):
+    """``fields(u, v)``, a dict of arrays, evaluated on blocks of rows of
+    the broadcast (u, v) grid and assembled.
+
+    Only one block's jets are alive at a time.  Every field is
+    elementwise in the points, so the result does not depend on the
+    blocking.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    if math.prod(shape) <= _BLOCK:
+        return fields(u, v)
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    tail = (slice(None),) * (len(shape) - 1)
+    out = {}
+    for lo in range(0, shape[0], step):
+        rows = (slice(lo, lo + step),)
+        part = fields(*(x[rows] if x.ndim == len(shape) and x.shape[0] > 1
+                        else x for x in (u, v)))
+        for name, val in part.items():
+            if name not in out:
+                out[name] = np.empty(val.shape[:val.ndim - len(shape)] + shape)
+            out[name][(Ellipsis,) + rows + tail] = val
+        del part, val           # free this block's jets before the next
+    return out
 
 
 def curvature_grid(chart: SurfaceChart, u, v, need_grad=False):
     """Evaluate curvature fields at an array of parameter points.
 
-    Returns a dict of arrays: position ``r``, area element ``w``, inward
-    unit normal ``n``, metric/shape data and, with ``need_grad``, the
-    parameter derivatives ``Hu, Hv`` of tr L plus ``grad_trL_sq``, the
-    squared tangential gradient |grad tr L|^2.
+    u and v broadcast against each other (a quadrature grid passes its
+    open mesh).  Returns a dict of arrays: position ``r``, area element
+    ``w``, inward unit normal ``n``, metric/shape data and, with
+    ``need_grad``, the parameter derivatives ``Hu, Hv`` of tr L plus
+    ``grad_trL_sq``, the squared tangential gradient |grad tr L|^2.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = chart.deriv
-    r = d(0, 0)(u, v)
-    ru, rv = d(1, 0)(u, v), d(0, 1)(u, v)
-    ruu, ruv, rvv = d(2, 0)(u, v), d(1, 1)(u, v), d(0, 2)(u, v)
-
-    E, F, G = _dot(ru, ru), _dot(ru, rv), _dot(rv, rv)
-    cross = _cross(ru, rv)
-    w = np.sqrt(_dot(cross, cross))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sine = w / np.sqrt(E * G)
-    sine = np.where(np.isfinite(sine), sine, 0.0)
-    if not np.min(sine) >= _SINGULAR_SINE:
-        k = np.unravel_index(int(np.argmin(sine)), np.shape(sine)) if np.ndim(sine) else ()
-        ub = u[k] if np.ndim(u) else u
-        vb = v[k] if np.ndim(v) else v
-        raise SingularChartError(chart.name, float(ub), float(vb), float(np.min(sine)))
-
-    n = chart.normal_sign * cross / w
-    e = _dot(n, ruu)
-    f = _dot(n, ruv)
-    g2 = _dot(n, rvv)
-    den = E * G - F * F
-    trL = (e * G - 2.0 * f * F + g2 * E) / den
-    detL = (e * g2 - f * f) / den
-
-    out = {
-        "r": r, "ru": ru, "rv": rv, "n": n, "w": w,
-        "E": E, "F": F, "G": G, "e": e, "f": f, "g2": g2,
-        "trL": trL, "detL": detL,
-    }
-    if not need_grad:
+    def fields(u, v):
+        s = surface_jets(chart, u, v, 3 if need_grad else 2)
+        out = {name: jet.value for name, jet in s.items()}
+        if need_grad:
+            E, F, G = out["E"], out["F"], out["G"]
+            Hu, Hv = s["trL"].derivative(1, 0), s["trL"].derivative(0, 1)
+            out["Hu"], out["Hv"] = Hu, Hv
+            out["grad_trL_sq"] = ((G * Hu ** 2 - 2.0 * F * Hu * Hv
+                                   + E * Hv ** 2) / (E * G - F * F))
         return out
 
-    # chain rule for H_d = d(tr L)/d(parameter); needs third derivatives
-    r3 = {
-        (3, 0): d(3, 0)(u, v), (2, 1): d(2, 1)(u, v),
-        (1, 2): d(1, 2)(u, v), (0, 3): d(0, 3)(u, v),
-    }
-    H = trL
-    Hd = {}
-    for which in ("u", "v"):
-        if which == "u":
-            ru_d, rv_d = ruu, ruv
-            ruu_d, ruv_d, rvv_d = r3[(3, 0)], r3[(2, 1)], r3[(1, 2)]
-        else:
-            ru_d, rv_d = ruv, rvv
-            ruu_d, ruv_d, rvv_d = r3[(2, 1)], r3[(1, 2)], r3[(0, 3)]
-        E_d = 2.0 * _dot(ru, ru_d)
-        F_d = _dot(ru_d, rv) + _dot(ru, rv_d)
-        G_d = 2.0 * _dot(rv, rv_d)
-        cross_d = _cross(ru_d, rv) + _cross(ru, rv_d)
-        w_d = _dot(cross, cross_d) / w
-        n_d = chart.normal_sign * cross_d / w - n * (w_d / w)
-        e_d = _dot(n_d, ruu) + _dot(n, ruu_d)
-        f_d = _dot(n_d, ruv) + _dot(n, ruv_d)
-        g2_d = _dot(n_d, rvv) + _dot(n, rvv_d)
-        den_d = E_d * G + E * G_d - 2.0 * F * F_d
-        Hd[which] = (e_d * G + e * G_d - 2.0 * (f_d * F + f * F_d)
-                     + g2_d * E + g2 * E_d - H * den_d) / den
-
-    out["Hu"], out["Hv"] = Hd["u"], Hd["v"]
-    out["grad_trL_sq"] = (G * Hd["u"] ** 2 - 2.0 * F * Hd["u"] * Hd["v"]
-                          + E * Hd["v"] ** 2) / den
-    return out
+    return _blockwise(fields, u, v)
 
 
-def _flux_terms(chart, u, v):
-    """The Laplace-Beltrami flux components P, Q of tr L.
+def lap_trL_grid(chart: SurfaceChart, u, v):
+    """Laplace-Beltrami of tr L, exact from an order-4 embedding jet.
 
-    lap(tr L) = (d_u P + d_v Q) / w  with  P = (G H_u - F H_v)/w,
-    Q = (E H_v - F H_u)/w; P and Q come out of the exact chain-rule
-    pipeline, so only the single outer derivative is numerical.
+    lap f = (d_u P + d_v Q) / w  with the metric fluxes
+    P = (G f_u - F f_v)/w and Q = (E f_v - F f_u)/w.
     """
-    g = curvature_grid(chart, u, v, need_grad=True)
-    P = (g["G"] * g["Hu"] - g["F"] * g["Hv"]) / g["w"]
-    Q = (g["E"] * g["Hv"] - g["F"] * g["Hu"]) / g["w"]
-    return P, Q
+    def fields(u, v):
+        s = surface_jets(chart, u, v, 4)
+        E, F, G, w = s["E"], s["F"], s["G"], s["w"]
+        Hu, Hv = s["trL"].d(1, 0), s["trL"].d(0, 1)
+        P = (G * Hu - F * Hv) / w
+        Q = (E * Hv - F * Hu) / w
+        return {"lap": (P.d(1, 0).value + Q.d(0, 1).value) / w.value}
 
-
-def lap_trL_grid(chart: SurfaceChart, u, v, rel_step=1e-3):
-    """Laplace-Beltrami of tr L by Richardson differences of the flux."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    hu = rel_step * chart.u_span
-    hv = rel_step * chart.v_span
-
-    def dP(h):
-        return (_flux_terms(chart, u + h, v)[0] - _flux_terms(chart, u - h, v)[0]) / (2 * h)
-
-    def dQ(h):
-        return (_flux_terms(chart, u, v + h)[1] - _flux_terms(chart, u, v - h)[1]) / (2 * h)
-
-    Pu = (4.0 * dP(hu / 2) - dP(hu)) / 3.0
-    Qv = (4.0 * dQ(hv / 2) - dQ(hv)) / 3.0
-    w = curvature_grid(chart, u, v)["w"]
-    return (Pu + Qv) / w
+    return _blockwise(fields, u, v)["lap"]
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,20 @@ This module evaluates both sides at a surface point and reports the
 residuals.  Covariant derivatives are taken in an adapted orthonormal
 frame transported from the base point by tangent-plane projection; that
 frame has vanishing connection coefficients at the base point and
-reproduces the gauge in which the identities are stated.  Derivatives
-are Richardson-extrapolated central differences along surface curves;
-everything is brute-force numerics, independent of the algebra it
-checks, so a nonzero residual means a genuine transcription or
-implementation error.
+reproduces the gauge in which the identities are stated.  Every field
+(normal, frame, L, P, S and the connection) is one truncated Taylor
+series in the chart parameters, built from a single order-4 jet of the
+embedding (:mod:`.jets`), and the derivative along frame leg a is
+D_a F = alpha_a d_u F + beta_a d_v F with the parameter velocities
+(alpha_a, beta_a) of that leg, themselves jets.  The derivatives are
+therefore exact and the residuals sit at rounding level.  The point is
+evaluated in numpy's long double (80-bit extended on x86-64 Linux),
+which keeps them near 1e-15 even where the quartic curvature terms
+reach 4e3; where long double is plain double they sit at the float64
+floor, about 1e-11 for curvatures of 5.  The left sides come from
+derivatives of P and S, the right sides from L and its covariant
+derivatives only, so a residual above rounding means a genuine
+transcription or implementation error.
 """
 
 from __future__ import annotations
@@ -30,286 +39,182 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .charts import SurfaceChart
-from .curvature import curvature_grid, frame_matrix
+from .curvature import frame_matrix, surface_jets
 
 __all__ = ["IdentityResiduals", "curvature_identity_residuals", "IDENTITY_NAMES"]
 
 IDENTITY_NAMES = (
-    "tr_PaPb",
-    "tr_PaPaPbPb",
-    "tr_PaPbPaPb",
-    "tr_Paa_Pbb",
-    "tr_Pab_Pab",
-    "trS_a[p1]",
-    "trS_ab[p1]",
-    "tr_SaSa[p1]",
-    "tr_PaSb[p1]",
-    "tr_PSaSa[p1]",
-    "trS_a[p2]",
-    "trS_ab[p2]",
-    "tr_SaSa[p2]",
-    "tr_PaSa[p2]",
-    "tr_PSaSa[p2]",
-    "codazzi",
-    "gauss_commutator",
+    "tr_PaPb", "tr_PaPaPbPb", "tr_PaPbPaPb", "tr_Paa_Pbb", "tr_Pab_Pab",
+    "trS_a[p1]", "trS_ab[p1]", "tr_SaSa[p1]", "tr_PaSb[p1]", "tr_PSaSa[p1]",
+    "trS_a[p2]", "trS_ab[p2]", "tr_SaSa[p2]", "tr_PaSa[p2]", "tr_PSaSa[p2]",
+    "codazzi", "gauss_commutator",
 )
 
 
-class _SurfaceCalculus:
-    """Frame-transported fields near one base point of a chart."""
-
-    def __init__(self, chart: SurfaceChart, u0, v0):
-        self.chart = chart
-        self.u0, self.v0 = float(u0), float(v0)
-        self._cache = {}
-        base = self._point(self.u0, self.v0)
-        self.e = (base["E1"], base["E2"])
-        self.n = base["n"]
-        self.L = base["L"]
-
-    # -- cached pointwise data ------------------------------------------
-
-    def _point(self, u, v):
-        key = (u, v)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        g = curvature_grid(self.chart, u, v)
-        n = g["n"]
-        if not self._cache:
-            # base point: Gram-Schmidt of the coordinate basis
-            A = frame_matrix(g["E"], g["F"], g["G"], g["w"])
-            E1 = A[0, 0] * g["ru"] + A[0, 1] * g["rv"]
-            E2 = A[1, 0] * g["ru"] + A[1, 1] * g["rv"]
-        else:
-            # transported frame: project the base frame onto the local
-            # tangent plane and re-orthonormalise; its connection
-            # coefficients vanish at the base point
-            E1 = self.e[0] - np.dot(self.e[0], n) * n
-            E1 = E1 / np.linalg.norm(E1)
-            E2 = self.e[1] - np.dot(self.e[1], n) * n
-            E2 = E2 - np.dot(E2, E1) * E1
-            E2 = E2 / np.linalg.norm(E2)
-        II = np.array([[g["e"], g["f"]], [g["f"], g["g2"]]])
-        C = np.stack([self._tangent_coeffs(g, E1),
-                      self._tangent_coeffs(g, E2)])
-        L = C @ II @ C.T
-        L = 0.5 * (L + L.T)
-        out = {"g": g, "n": n, "E1": E1, "E2": E2, "L": L}
-        self._cache[key] = out
-        return out
-
-    @staticmethod
-    def _tangent_coeffs(g, w_vec):
-        """Coefficients (alpha, beta) with w = alpha r_u + beta r_v."""
-        det = g["E"] * g["G"] - g["F"] ** 2
-        wu = np.dot(w_vec, g["ru"])
-        wv = np.dot(w_vec, g["rv"])
-        return np.array([(g["G"] * wu - g["F"] * wv) / det,
-                         (g["E"] * wv - g["F"] * wu) / det])
-
-    def frame(self, u, v, a):
-        p = self._point(u, v)
-        return (p["E1"], p["E2"])[a]
-
-    # -- matrix/tensor fields -------------------------------------------
-
-    def P_field(self, u, v):
-        n = self._point(u, v)["n"]
-        return np.outer(n, n)
-
-    def S1_field(self, u, v):
-        p = self._point(u, v)
-        return -np.trace(p["L"]) * np.outer(p["n"], p["n"])
-
-    def S2_field(self, u, v):
-        p = self._point(u, v)
-        E = (p["E1"], p["E2"])
-        out = np.zeros((3, 3))
-        for a in range(2):
-            for b in range(2):
-                out -= p["L"][a, b] * np.outer(E[a], E[b])
-        return out
-
-    def L_field(self, u, v):
-        return self._point(u, v)["L"]
-
-    # -- derivatives ------------------------------------------------------
-
-    def _param_velocity(self, u, v, w_vec):
-        return self._tangent_coeffs(self._point(u, v)["g"], w_vec)
-
-    def dir_deriv(self, field, u, v, a, h):
-        """Richardson central difference of `field` along frame leg a."""
-        w = self.frame(u, v, a)
-        du, dv = self._param_velocity(u, v, w)
-
-        def at(s):
-            return field(u + s * du, v + s * dv)
-
-        def diff(hh):
-            return (at(hh) - at(-hh)) / (2.0 * hh)
-
-        return (4.0 * diff(h / 2) - diff(h)) / 3.0
-
-    def omega(self, u, v, c, h):
-        """Connection coefficients omega[a, e] = (D_c E_a) . E_e at (u, v)."""
-        p = self._point(u, v)
-        E = (p["E1"], p["E2"])
-        out = np.zeros((2, 2))
-        for a in range(2):
-            dEa = self.dir_deriv(lambda uu, vv, _a=a: self.frame(uu, vv, _a),
-                                 u, v, c, h)
-            for e in range(2):
-                out[a, e] = np.dot(dEa, E[e])
-        return out
-
-    def L_cov_field(self, u, v, c, h):
-        """The covariant-derivative field L_ab:c at (u, v)."""
-        dL = self.dir_deriv(self.L_field, u, v, c, h)
-        om = self.omega(u, v, c, h)
-        L = self.L_field(u, v)
-        return dL - np.einsum("ae,eb->ab", om, L) - np.einsum("be,ae->ab", om, L)
+# the residual model: a few units of rounding, in the working precision,
+# on the scale of the largest curvature term, (1 + max |kappa|)^4
+_ROUNDING = 64.0 * float(np.finfo(np.longdouble).eps)
 
 
-def curvature_identity_residuals(chart: SurfaceChart, u, v,
-                                 fd_step=1e-3) -> "IdentityResiduals":
-    """Residuals of the boundary tensor-trace identities at one point.
+def _dot(a, b):
+    return (a * b).sum(-1)
 
-    ``fd_step`` is the central-difference step in ambient length units;
-    with Richardson extrapolation the expected numerical floor is around
-    1e-9 for unit-scale surfaces, far below the 1e-6 verification level.
+
+def _matmul(a, b):
+    """Matrix product over the last two value axes."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(-2)
+
+
+def _unit(a):
+    return a / jets.sqrt(_dot(a, a))
+
+
+def _covariant_data(chart: SurfaceChart, u0, v0):
+    """Values at (u0, v0) of L, the normal projector and the first and
+    second frame derivatives of P, S and L.
+
+    Keys: ``L``, ``P``, ``P_a``, ``P_ab``, ``S1_a``, ``S1_ab``, ``S2_a``,
+    ``S2_ab``, ``Lc`` (L_ab:c, indices [a, b, c]) and ``Lcd`` (L_ab:cd);
+    ``X_ab[a, b]`` is D_b D_a X.
     """
-    if not 0 < fd_step < 0.1 * max(chart.u_span, chart.v_span):
-        raise ValueError("fd_step must be positive and small on the chart scale")
-    calc = _SurfaceCalculus(chart, u, v)
-    h = float(fd_step)
-    u0, v0 = calc.u0, calc.v0
+    s = surface_jets(chart, np.longdouble(u0), np.longdouble(v0), 4)
+    n, ru, rv = s["n"], s["ru"], s["rv"]
+    E, F, G = s["E"], s["F"], s["G"]
+    # base point: Gram-Schmidt of the coordinate basis
+    A = frame_matrix(E.value, F.value, G.value, s["w"].value)
+    base = A @ np.stack([ru.value, rv.value])
+    # transported frame: project the base frame onto the local tangent
+    # plane and re-orthonormalise; its connection vanishes at the base
+    E1 = _unit(base[0] - n * _dot(n, base[0]))
+    E2 = base[1] - n * _dot(n, base[1])
+    E2 = _unit(E2 - E1 * _dot(E2, E1))
+    frame = jets.stack([E1, E2])                          # [a, i]
 
-    L = calc.L
-    L2, L3 = L @ L, L @ L @ L
-    L4 = L2 @ L2
-    trL, trL2, trL3, trL4 = (np.trace(M) for M in (L, L2, L3, L4))
+    # parameter velocities C[a] = (alpha_a, beta_a) of the legs, with
+    # E_a = alpha_a r_u + beta_a r_v
+    wu, wv = _dot(frame, ru), _dot(frame, rv)
+    det = E * G - F * F
+    alpha, beta = (G * wu - F * wv) / det, (E * wv - F * wu) / det
 
-    # first and second covariant derivatives of the matrix fields
-    P_a = [calc.dir_deriv(calc.P_field, u0, v0, a, h) for a in range(2)]
-    S1_a = [calc.dir_deriv(calc.S1_field, u0, v0, a, h) for a in range(2)]
-    S2_a = [calc.dir_deriv(calc.S2_field, u0, v0, a, h) for a in range(2)]
+    def D(field):
+        """D_a field = alpha_a d_u field + beta_a d_v field, a leading."""
+        lead = (slice(None),) + (None,) * (field.c.ndim - 1)
+        return (alpha[lead] * field.d(1, 0)[None]
+                + beta[lead] * field.d(0, 1)[None])
 
-    def second(field):
-        out = np.empty((2, 2, 3, 3))
-        for a in range(2):
-            def inner(uu, vv, _a=a):
-                return calc.dir_deriv(field, uu, vv, _a, h)
-            for b in range(2):
-                out[a, b] = calc.dir_deriv(inner, u0, v0, b, h)
-        return out
+    C = jets.stack([alpha, beta], axis=-1)
+    II = jets.stack([jets.stack([s["e"], s["f"]]),
+                     jets.stack([s["f"], s["g2"]])])
+    L = _matmul(_matmul(C, II), C.T)
+    L = (L + L.T) * 0.5
 
-    P_ab = second(calc.P_field)
-    S1_ab = second(calc.S1_field)
-    S2_ab = second(calc.S2_field)
+    P = n[:, None] * n[None, :]
+    S1 = P * -(L[0, 0] + L[1, 1])
+    S2 = -_matmul(_matmul(frame.T, L), frame)
 
-    # L_ab:c at the base point (connection coefficients vanish there)
-    Lc = np.empty((2, 2, 2))
-    for c in range(2):
-        Lc[:, :, c] = calc.dir_deriv(calc.L_field, u0, v0, c, h)
+    out = {"L": L.value, "P": P.value}
+    for name, field in (("P", P), ("S1", S1), ("S2", S2)):
+        first = D(field)
+        out[name + "_a"] = first.value
+        out[name + "_ab"] = D(first).value.swapaxes(0, 1)
+    DL = D(L)                                             # [c, a, b]
+    out["Lc"] = np.moveaxis(DL.value, 0, -1)
+    # connection omega[c, a, e] = (D_c E_a) . E_e and the covariant
+    # field L_ab:c = D_c L_ab - omega_cae L_eb - omega_cbe L_ae
+    omega = _dot(D(frame)[:, :, None, :], frame[None, None, :, :])
+    cov = DL - _matmul(omega, L) - _matmul(L, omega.T)
+    out["Lcd"] = D(cov).value.transpose(2, 3, 1, 0)       # [d, c, a, b]
+    return out
 
-    # L_ab:cd = outer derivative d of the covariant field L_ab:c
-    Lcd = np.empty((2, 2, 2, 2))
-    for c in range(2):
-        def cov_field(uu, vv, _c=c):
-            return calc.L_cov_field(uu, vv, _c, h)
-        for d in range(2):
-            Lcd[:, :, c, d] = calc.dir_deriv(cov_field, u0, v0, d, h)
 
-    res = {}
-
-    # --- projector traces ------------------------------------------------
-    r = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            r[a, b] = np.trace(P_a[a] @ P_a[b]) - 2.0 * L2[a, b]
-    res["tr_PaPb"] = float(np.max(np.abs(r)))
-
-    s = sum(np.trace(P_a[a] @ P_a[a] @ P_a[b] @ P_a[b])
-            for a in range(2) for b in range(2))
-    res["tr_PaPaPbPb"] = abs(s - (trL4 + trL2 * trL2))
-
-    s = sum(np.trace(P_a[a] @ P_a[b] @ P_a[a] @ P_a[b])
-            for a in range(2) for b in range(2))
-    res["tr_PaPbPaPb"] = abs(s - 2.0 * trL4)
-
+def _left_sides(d):
+    """The derivative side of each identity, from P and S."""
+    P_a, P_ab, P0 = d["P_a"], d["P_ab"], d["P"]
+    S1_a, S1_ab, S2_a, S2_ab = d["S1_a"], d["S1_ab"], d["S2_a"], d["S2_ab"]
+    Lc, Lcd = d["Lc"], d["Lcd"]
+    pairs = [(a, b) for a in range(2) for b in range(2)]
     Paa = P_ab[0, 0] + P_ab[1, 1]
-    div_sq = float(sum((Lc[0, c, 0] + Lc[1, c, 1]) ** 2 for c in range(2)))
-    res["tr_Paa_Pbb"] = abs(np.trace(Paa @ Paa)
-                            - (2.0 * div_sq + 4.0 * trL4 + 4.0 * trL2 ** 2))
+    return {
+        "tr_PaPb": np.einsum("aij,bji->ab", P_a, P_a),
+        "tr_PaPaPbPb": sum(np.trace(P_a[a] @ P_a[a] @ P_a[b] @ P_a[b])
+                           for a, b in pairs),
+        "tr_PaPbPaPb": sum(np.trace(P_a[a] @ P_a[b] @ P_a[a] @ P_a[b])
+                           for a, b in pairs),
+        "tr_Paa_Pbb": np.trace(Paa @ Paa),
+        "tr_Pab_Pab": sum(np.trace(P_ab[a, b] @ P_ab[a, b]) for a, b in pairs),
+        "trS_a[p1]": np.trace(S1_a, axis1=1, axis2=2),
+        "trS_ab[p1]": np.trace(S1_ab, axis1=2, axis2=3),
+        "tr_SaSa[p1]": sum(np.trace(S1_a[a] @ S1_a[a]) for a in range(2)),
+        "tr_PaSb[p1]": np.einsum("aij,bji->ab", P_a, S1_a),
+        "tr_PSaSa[p1]": sum(np.trace(P0 @ S1_a[a] @ S1_a[a])
+                            for a in range(2)),
+        "trS_a[p2]": np.trace(S2_a, axis1=1, axis2=2),
+        "trS_ab[p2]": np.trace(S2_ab, axis1=2, axis2=3),
+        "tr_SaSa[p2]": sum(np.trace(S2_a[a] @ S2_a[a]) for a in range(2)),
+        "tr_PaSa[p2]": sum(np.trace(P_a[a] @ S2_a[a]) for a in range(2)),
+        "tr_PSaSa[p2]": sum(np.trace(P0 @ S2_a[a] @ S2_a[a])
+                            for a in range(2)),
+        "codazzi": Lc,
+        # L_ab:ca - L_ab:ac, indices [b, c]
+        "gauss_commutator": (np.einsum("abca->bc", Lcd)
+                             - np.einsum("abac->bc", Lcd)),
+    }
 
-    s = sum(np.trace(P_ab[a, b] @ P_ab[a, b]) for a in range(2) for b in range(2))
-    lc_sq = float(np.sum(Lc * Lc))
-    res["tr_Pab_Pab"] = abs(s - (2.0 * lc_sq + 6.0 * trL4 + 2.0 * trL2 ** 2))
 
-    # --- boundary-operator traces, normal block (S = -(tr L) P) ----------
-    grad_trL = np.array([Lc[0, 0, c] + Lc[1, 1, c] for c in range(2)])
-    res["trS_a[p1]"] = float(max(abs(np.trace(S1_a[a]) + grad_trL[a])
-                                 for a in range(2)))
-    hess_trL = Lcd[0, 0] + Lcd[1, 1]          # L_cc:ab, indices [a, b]
-    res["trS_ab[p1]"] = float(np.max(np.abs(
-        np.array([[np.trace(S1_ab[a, b]) for b in range(2)] for a in range(2)])
-        + hess_trL)))
+def _right_sides(L, Lc, Lcd):
+    """The reduction of each identity to L, L_ab:c and L_ab:cd."""
+    L2 = L @ L
+    L3 = L2 @ L
+    trL, trL2, trL3, trL4 = (np.trace(M) for M in (L, L2, L3, L2 @ L2))
+    grad = np.einsum("aac->c", Lc)             # (tr L)_:c
+    grad_sq = grad @ grad
+    div_sq = np.sum(np.einsum("aca->c", Lc) ** 2)
+    lc_sq = np.sum(Lc * Lc)
+    hess = np.einsum("eeab->ab", Lcd)           # L_ee:ab
+    return {
+        "tr_PaPb": 2.0 * L2,
+        "tr_PaPaPbPb": trL4 + trL2 * trL2,
+        "tr_PaPbPaPb": 2.0 * trL4,
+        "tr_Paa_Pbb": 2.0 * div_sq + 4.0 * trL4 + 4.0 * trL2 ** 2,
+        "tr_Pab_Pab": 2.0 * lc_sq + 6.0 * trL4 + 2.0 * trL2 ** 2,
+        "trS_a[p1]": -grad,
+        "trS_ab[p1]": -hess,
+        "tr_SaSa[p1]": grad_sq + 2.0 * trL ** 2 * trL2,
+        "tr_PaSb[p1]": -2.0 * trL * L2,
+        "tr_PSaSa[p1]": grad_sq + trL ** 2 * trL2,
+        "trS_a[p2]": -grad,
+        "trS_ab[p2]": -hess,
+        "tr_SaSa[p2]": lc_sq + 2.0 * trL4,
+        "tr_PaSa[p2]": 2.0 * trL3,
+        "tr_PSaSa[p2]": trL4,
+        "codazzi": Lc.transpose(0, 2, 1),
+        "gauss_commutator": trL * L2 - trL2 * L,
+    }
 
-    s = sum(np.trace(S1_a[a] @ S1_a[a]) for a in range(2))
-    res["tr_SaSa[p1]"] = abs(s - (float(grad_trL @ grad_trL)
-                                  + 2.0 * trL ** 2 * trL2))
 
-    r = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            r[a, b] = np.trace(P_a[a] @ S1_a[b]) + 2.0 * L2[a, b] * trL
-    res["tr_PaSb[p1]"] = float(np.max(np.abs(r)))
-
-    P0 = calc.P_field(u0, v0)
-    s = sum(np.trace(P0 @ S1_a[a] @ S1_a[a]) for a in range(2))
-    res["tr_PSaSa[p1]"] = abs(s - (float(grad_trL @ grad_trL)
-                                   + trL ** 2 * trL2))
-
-    # --- boundary-operator traces, tangential block (S = -L) -------------
-    res["trS_a[p2]"] = float(max(abs(np.trace(S2_a[a]) + grad_trL[a])
-                                 for a in range(2)))
-    res["trS_ab[p2]"] = float(np.max(np.abs(
-        np.array([[np.trace(S2_ab[a, b]) for b in range(2)] for a in range(2)])
-        + hess_trL)))
-
-    s = sum(np.trace(S2_a[a] @ S2_a[a]) for a in range(2))
-    res["tr_SaSa[p2]"] = abs(s - (lc_sq + 2.0 * trL4))
-
-    s = sum(np.trace(P_a[a] @ S2_a[a]) for a in range(2))
-    res["tr_PaSa[p2]"] = abs(s - 2.0 * trL3)
-
-    s = sum(np.trace(P0 @ S2_a[a] @ S2_a[a]) for a in range(2))
-    res["tr_PSaSa[p2]"] = abs(s - trL4)
-
-    # --- Codazzi symmetry and the Gauss-equation commutator --------------
-    res["codazzi"] = float(np.max(np.abs(Lc - Lc.transpose(0, 2, 1))))
-
-    r = np.empty((2, 2))
-    for b in range(2):
-        for c in range(2):
-            lhs = sum(Lcd[a, b, c, a] - Lcd[a, b, a, c] for a in range(2))
-            r[b, c] = lhs - (trL * L2[b, c] - trL2 * L[b, c])
-    res["gauss_commutator"] = float(np.max(np.abs(r)))
-
-    scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(L))))
-    fd_error = 10.0 * (scale ** 5 * h ** 4 + 1e-16 * scale ** 4 / h ** 2)
-    return IdentityResiduals(residuals=res, fd_step=h, fd_error_model=fd_error,
-                             point=(u0, v0))
+def curvature_identity_residuals(chart: SurfaceChart,
+                                 u, v) -> "IdentityResiduals":
+    """Residuals |left - right| (max over free indices) of every
+    identity at one point; exact derivatives put them at rounding level.
+    """
+    d = _covariant_data(chart, u, v)
+    left = _left_sides(d)
+    right = _right_sides(d["L"], d["Lc"], d["Lcd"])
+    res = {name: float(np.max(np.abs(left[name] - right[name])))
+           for name in IDENTITY_NAMES}
+    scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(
+        d["L"].astype(float)))))
+    return IdentityResiduals(residuals=res,
+                             error_model=_ROUNDING * scale ** 4,
+                             point=(float(u), float(v)))
 
 
 @dataclass(frozen=True)
 class IdentityResiduals:
     residuals: dict
-    fd_step: float
-    fd_error_model: float
+    error_model: float
     point: tuple
 
     @property
@@ -317,8 +222,8 @@ class IdentityResiduals:
         return max(self.residuals.values())
 
     def violations(self, safety=100.0):
-        """Identities whose residual exceeds the difference-error model."""
-        tol = safety * self.fd_error_model
+        """Identities whose residual exceeds the rounding-error model."""
+        tol = safety * self.error_model
         return {k: v for k, v in self.residuals.items() if v > tol}
 
     def __getitem__(self, name):

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .charts import ChartError, SurfaceChart
 
 __all__ = ["TopologyInfo", "SurfaceModel", "sphere", "ellipsoid", "torus"]
@@ -76,15 +74,11 @@ def sphere(radius=1.0) -> SurfaceModel:
     """Round sphere of the given radius, inward normal (tr L = 2/radius)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    u = sp.Symbol("u", real=True)
-    v = sp.Symbol("v", real=True)
-    R = sp.Float(repr(float(radius)))
     chart = SurfaceChart.from_expressions(
-        R * sp.sin(u) * sp.cos(v),
-        R * sp.sin(u) * sp.sin(v),
-        R * sp.cos(u),
-        u_range=(0, sp.pi), v_range=(0, 2 * sp.pi),
-        periodic_v=True, normal_sign=-1, name=f"sphere(R={radius})",
+        "R*sin(u)*cos(v)", "R*sin(u)*sin(v)", "R*cos(u)",
+        params={"R": radius},
+        u_range=(0, math.pi), v_range=(0, 2 * math.pi), periodic_v=True,
+        normal_sign=-1, name=f"sphere(R={radius})",
     )
     return SurfaceModel(
         name=f"sphere(R={radius})",
@@ -99,15 +93,11 @@ def ellipsoid(a=1.0, b=1.0, c=1.0) -> SurfaceModel:
     """Axis-aligned ellipsoid with semi-axes a, b, c."""
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
-    u = sp.Symbol("u", real=True)
-    v = sp.Symbol("v", real=True)
-    A, B, C = (sp.Float(repr(float(s))) for s in (a, b, c))
     chart = SurfaceChart.from_expressions(
-        A * sp.sin(u) * sp.cos(v),
-        B * sp.sin(u) * sp.sin(v),
-        C * sp.cos(u),
-        u_range=(0, sp.pi), v_range=(0, 2 * sp.pi),
-        periodic_v=True, normal_sign=-1, name=f"ellipsoid({a},{b},{c})",
+        "a*sin(u)*cos(v)", "b*sin(u)*sin(v)", "c*cos(u)",
+        params={"a": a, "b": b, "c": c},
+        u_range=(0, math.pi), v_range=(0, 2 * math.pi), periodic_v=True,
+        normal_sign=-1, name=f"ellipsoid({a},{b},{c})",
     )
     return SurfaceModel(
         name=f"ellipsoid({a},{b},{c})",
@@ -125,15 +115,10 @@ def torus(ring_radius=2.0, tube_radius=0.5) -> SurfaceModel:
     """
     if not 0 < tube_radius < ring_radius:
         raise ValueError("need 0 < tube_radius < ring_radius")
-    u = sp.Symbol("u", real=True)
-    v = sp.Symbol("v", real=True)
-    R0 = sp.Float(repr(float(ring_radius)))
-    r = sp.Float(repr(float(tube_radius)))
     chart = SurfaceChart.from_expressions(
-        (R0 + r * sp.cos(u)) * sp.cos(v),
-        (R0 + r * sp.cos(u)) * sp.sin(v),
-        r * sp.sin(u),
-        u_range=(0, 2 * sp.pi), v_range=(0, 2 * sp.pi),
+        "(R + r*cos(u))*cos(v)", "(R + r*cos(u))*sin(v)", "r*sin(u)",
+        params={"R": ring_radius, "r": tube_radius},
+        u_range=(0, 2 * math.pi), v_range=(0, 2 * math.pi),
         periodic_u=True, periodic_v=True,
         normal_sign=1, name=f"torus({ring_radius},{tube_radius})",
     )

@@ -64,10 +64,14 @@ class QuadratureSpec:
         return mid + half * x, half * w
 
     def grid(self, chart):
-        """Meshed nodes U, V and combined weights for one chart."""
+        """Nodes U, V as an open mesh and combined weights for one chart.
+
+        U has shape (n, 1) and V shape (1, m); fields evaluated on them
+        broadcast to the (n, m) weights.
+        """
         xu, wu = self.nodes_1d(*chart.u_range, chart.periodic_u)
         xv, wv = self.nodes_1d(*chart.v_range, chart.periodic_v)
-        U, V = np.meshgrid(xu, xv, indexing="ij")
+        U, V = np.meshgrid(xu, xv, indexing="ij", sparse=True)
         return U, V, np.outer(wu, wv)
 
 
@@ -87,6 +91,7 @@ def _chart_sum(chart, field, spec, jacobian=True):
     vals = field(chart, U, V)
     if not np.all(np.isfinite(vals)):
         k = np.unravel_index(int(np.argmin(np.isfinite(vals))), np.shape(vals))
+        U, V = np.broadcast_arrays(U, V)
         raise EvaluationError(
             f"non-finite integrand on chart {chart.name!r} at "
             f"(u, v) = ({U[k]:.6g}, {V[k]:.6g})"
@@ -140,8 +145,8 @@ def grad_trL_sq_integral(model: SurfaceModel, quad: QuadratureSpec) -> IntegralR
     return _two_level(model, field, quad, jacobian=True)
 
 
-def trL_lap_trL_integral(model: SurfaceModel, quad: QuadratureSpec,
-                         rel_step=1e-3) -> IntegralResult:
+def trL_lap_trL_integral(model: SurfaceModel,
+                         quad: QuadratureSpec) -> IntegralResult:
     """Integral of tr L * lap(tr L), with the pointwise Laplace-Beltrami.
 
     Independent of :func:`grad_trL_sq_integral`; on a closed surface the
@@ -151,6 +156,6 @@ def trL_lap_trL_integral(model: SurfaceModel, quad: QuadratureSpec,
 
     def field(chart, U, V):
         trL = curvature_grid(chart, U, V)["trL"]
-        return trL * lap_trL_grid(chart, U, V, rel_step=rel_step)
+        return trL * lap_trL_grid(chart, U, V)
 
     return _two_level(model, field, quad, jacobian=True)

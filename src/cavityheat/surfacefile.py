@@ -34,90 +34,38 @@ boundary patch):
 
 ``normal`` declares which way the raw cross product r_u x r_v points
 ("outward" flips it so the stored normal is inward).  Parse errors
-report 1-based line and column.
+report 1-based line and column.  Parameters, domain bounds and every
+constant sub-expression are evaluated to floats as they are read, so a
+division by zero, an overflow, a math-domain error, a non-finite value
+or a bool literal in them is a parse error at its position.
 """
 
 from __future__ import annotations
 
-import ast
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import sympy as sp
-
-from .errors import SurfaceFileError
+from .errors import ExpressionError, SurfaceFileError
 from .geometry import SurfaceChart, SurfaceModel, TopologyInfo
-from .geometry.charts import ALLOWED_FUNCTIONS
+from .geometry.charts import compile_expression
 
 __all__ = ["SurfaceFileError", "load_surface", "loads_surface"]
 
 SCHEMA_VERSION = 1
 
 
-_BINOPS = {ast.Add: sp.Add, ast.Sub: None, ast.Mult: sp.Mul,
-           ast.Div: None, ast.Pow: None}
+def _parse_expression(text, names, line, col0, variables=()):
+    """Compile one expression string found at (line, col0).
 
-
-def _expr_to_sympy(node, names, line, col0):
-    """Convert a vetted python-AST expression to sympy."""
-
-    def fail(msg, n):
-        raise SurfaceFileError(msg, line, col0 + getattr(n, "col_offset", 0))
-
-    def conv(n):
-        if isinstance(n, ast.Expression):
-            return conv(n.body)
-        if isinstance(n, ast.Constant):
-            if isinstance(n.value, int):
-                return sp.Integer(n.value)
-            if isinstance(n.value, float):
-                return sp.Float(repr(n.value))
-            fail(f"unsupported literal {n.value!r}", n)
-        if isinstance(n, ast.Name):
-            if n.id in names:
-                return names[n.id]
-            fail(f"unknown name {n.id!r} (declare it with 'param')", n)
-        if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.UAdd, ast.USub)):
-            val = conv(n.operand)
-            return val if isinstance(n.op, ast.UAdd) else -val
-        if isinstance(n, ast.BinOp):
-            left, right = conv(n.left), conv(n.right)
-            if isinstance(n.op, ast.Add):
-                return left + right
-            if isinstance(n.op, ast.Sub):
-                return left - right
-            if isinstance(n.op, ast.Mult):
-                return left * right
-            if isinstance(n.op, ast.Div):
-                return left / right
-            if isinstance(n.op, ast.Pow):
-                return left ** right
-            fail("unsupported operator", n)
-        if isinstance(n, ast.Call):
-            if not isinstance(n.func, ast.Name):
-                fail("only plain function calls are allowed", n)
-            fname = n.func.id
-            if fname not in ALLOWED_FUNCTIONS:
-                fail(f"unknown function {fname!r} (allowed: "
-                     f"{', '.join(sorted(ALLOWED_FUNCTIONS))})", n)
-            if len(n.args) != 1 or n.keywords:
-                fail(f"{fname} takes exactly one argument", n)
-            return ALLOWED_FUNCTIONS[fname](conv(n.args[0]))
-        fail(f"unsupported syntax ({type(n).__name__})", n)
-
-    return conv(node)
-
-
-def _parse_expression(text, names, line, col0):
-    """Parse one expression string at (line, col0) into sympy."""
-    source = text.replace("^", "**")
+    Without ``variables`` the result is a float: every parameter and
+    domain bound is evaluated here, and a division by zero, overflow,
+    math-domain error or non-finite value is reported at its position.
+    """
     try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as err:
-        col = col0 + (err.offset or 1) - 1
-        raise SurfaceFileError(f"syntax error in expression: {err.msg}",
-                               line, col) from None
-    return _expr_to_sympy(tree, names, line, col0)
+        return compile_expression(text, names, variables)
+    except ExpressionError as err:
+        raise SurfaceFileError(err.args[0], line, col0 + err.offset) from None
 
 
 @dataclass
@@ -173,6 +121,7 @@ def loads_surface(text, name="surface") -> SurfaceModel:
         elif key == "components":
             meta["components"] = _int_field(parts, line, lineno, "components")
         elif key == "genera":
+            genera_line = lineno
             try:
                 meta["genera"] = tuple(int(p) for p in parts[1:])
             except ValueError:
@@ -185,7 +134,7 @@ def loads_surface(text, name="surface") -> SurfaceModel:
             if len(parts) != 3:
                 raise SurfaceFileError("expected: param <name> <expression>",
                                        lineno, col0)
-            names = {"pi": sp.pi, **params}
+            names = {"pi": math.pi, **params}
             params[parts[1]] = _parse_expression(
                 parts[2], names, lineno, line.find(parts[2]) + 1)
         elif key == "chart":
@@ -211,11 +160,18 @@ def loads_surface(text, name="surface") -> SurfaceModel:
     if not charts:
         raise SurfaceFileError("no chart blocks found", 1)
 
-    topology = TopologyInfo(meta["components"], meta["genera"])
+    try:
+        topology = TopologyInfo(meta["components"], meta["genera"])
+    except ValueError as err:
+        raise SurfaceFileError(str(err), genera_line) from None
     built = []
     comp_idx = []
     for k, blk in enumerate(charts):
-        built.append(_build_chart(blk, params, f"{meta['name']}[{k}]"))
+        if not 1 <= blk.component <= topology.components:
+            raise SurfaceFileError(
+                f"chart component must be in 1..{topology.components}",
+                blk.line)
+        built.append(_build_chart(blk, f"{meta['name']}[{k}]"))
         comp_idx.append(blk.component)
     return SurfaceModel(
         name=meta["name"],
@@ -237,7 +193,7 @@ def _int_field(parts, line, lineno, what):
 
 def _chart_line(block, key, parts, line, lineno, params):
     col0 = line.find(key) + 1
-    names = {"pi": sp.pi, **params}
+    names = {"pi": math.pi, **params}
     if key == "domain":
         if len(parts) != 4 or parts[1] not in ("u", "v"):
             raise SurfaceFileError(
@@ -245,12 +201,10 @@ def _chart_line(block, key, parts, line, lineno, params):
         lo = _parse_expression(parts[2], names, lineno, line.find(parts[2]) + 1)
         hi = _parse_expression(parts[3], names, lineno,
                                line.rfind(parts[3]) + 1)
-        if not (lo.is_number and hi.is_number):
-            raise SurfaceFileError("domain bounds must be numeric", lineno, col0)
-        if float(lo) >= float(hi):
+        if lo >= hi:
             raise SurfaceFileError("domain lower bound must be < upper",
                                    lineno, col0)
-        block.domain[parts[1]] = (float(lo), float(hi))
+        block.domain[parts[1]] = (lo, hi)
     elif key == "periodic":
         if len(parts) != 2 or parts[1] not in ("u", "v"):
             raise SurfaceFileError("expected: periodic u|v", lineno, col0)
@@ -259,10 +213,8 @@ def _chart_line(block, key, parts, line, lineno, params):
         expr_text = line.split(None, 1)[1] if len(parts) > 1 else ""
         if not expr_text:
             raise SurfaceFileError(f"{key} needs an expression", lineno, col0)
-        u, v = sp.symbols("u v", real=True)
-        names.update({"u": u, "v": v})
         block.xyz[key] = _parse_expression(
-            expr_text, names, lineno, line.find(expr_text) + 1)
+            expr_text, names, lineno, line.find(expr_text) + 1, ("u", "v"))
     elif key == "normal":
         if len(parts) != 2 or parts[1] not in ("inward", "outward"):
             raise SurfaceFileError("expected: normal inward|outward",
@@ -273,7 +225,7 @@ def _chart_line(block, key, parts, line, lineno, params):
                                lineno, col0)
 
 
-def _build_chart(block, params, name):
+def _build_chart(block, name):
     for axis in ("u", "v"):
         if axis not in block.domain:
             raise SurfaceFileError(f"chart is missing 'domain {axis}'",
@@ -281,13 +233,13 @@ def _build_chart(block, params, name):
     for comp in ("x", "y", "z"):
         if comp not in block.xyz:
             raise SurfaceFileError(f"chart is missing '{comp}'", block.line)
-    return SurfaceChart.from_expressions(
-        block.xyz["x"], block.xyz["y"], block.xyz["z"],
+    return SurfaceChart(
+        name=name,
         u_range=block.domain["u"], v_range=block.domain["v"],
         periodic_u="u" in block.periodic,
         periodic_v="v" in block.periodic,
         normal_sign=1 if block.normal == "inward" else -1,
-        name=name,
+        xyz=(block.xyz["x"], block.xyz["y"], block.xyz["z"]),
     )
 
 

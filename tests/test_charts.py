@@ -103,20 +103,6 @@ class TestDerivativeOracle:
                 fd = (lower(u, v + h) - lower(u, v - h)) / (2 * h)
             assert np.allclose(fd, ref, rtol=1e-8, atol=1e-7)
 
-    def test_callable_chart_warns_and_agrees(self):
-        def fn(u, v):
-            return np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v),
-                             np.cos(u) * np.ones_like(v)])
-
-        with pytest.warns(UserWarning):
-            chart = SurfaceChart.from_callable(
-                fn, u_range=(0, math.pi), v_range=(0, 2 * math.pi),
-                periodic_v=True, normal_sign=-1, name="fd-sphere",
-            )
-        c = curvature_at(chart, 1.1, 0.7)
-        assert c.trL == pytest.approx(2.0, abs=1e-7)
-        assert c.detL == pytest.approx(1.0, abs=1e-7)
-
 
 class TestInvariants:
     def test_cayley_hamilton(self):

@@ -164,6 +164,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit", [
+        ("name fake-genus", "param a 1/0"),
+        ("name fake-genus", "param a sqrt(-1)"),
+        ("name fake-genus", "param a 2^2^2^2^2"),
+        ("name fake-genus", "param a 1e308*10"),
+        ("name fake-genus", "param a True"),
+        ("domain u 0 pi", "domain u -1/0 pi"),
+    ], ids=["div-zero", "domain-error", "overflow", "non-finite", "bool",
+            "domain-bound"])
+    def test_surface_value_error_exits_1(self, tmp_path, capsys, edit):
+        surf = tmp_path / "s.surf"
+        surf.write_text(BAD_TOPOLOGY_SURFACE.replace("genera 1", "genera 0")
+                        .replace(*edit))
+        assert run(tmp_path, "coeffs", "--surface", f"file:{surf}",
+                   "--quad-order", 16) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1
+        assert not (tmp_path / "coeffs.json").exists()
+
     def test_numerical_library_error_exits_2(self, tmp_path, capsys):
         surf = tmp_path / "flipped.surf"
         surf.write_text(FLIPPED_SPHERE_SURFACE)

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityheat.coefficients import (
     GeometricMoments,
@@ -189,3 +191,15 @@ class TestDeltaA3:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             delta_a3(TopologyInfo(2, (0, 0)), 0.25)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.floats(0.6, 1.8)] * 3), st.floats(0.5, 2.0))
+def test_scaling_property(axes, s):
+    """a_n of the surface scaled by s equal s^(3-n) a_n of the original."""
+    topo = TopologyInfo(1, (0,))
+    base = em_coefficients(compute_moments(ellipsoid(*axes), Q16), topo)
+    scaled = em_coefficients(
+        compute_moments(ellipsoid(*(s * a for a in axes)), Q16), topo)
+    for got, want in zip(scaled.values, base.scaled(s).values):
+        assert abs(got - want) <= 1e-10 * abs(want)

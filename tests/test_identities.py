@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from cavityheat import loads_surface
 from cavityheat.geometry import SurfaceChart, ellipsoid, sphere, torus
 from cavityheat.geometry.identities import (
     IDENTITY_NAMES,
@@ -28,11 +29,10 @@ class TestNumericalResiduals:
         # tr(L^4) + (tr L^2)^2 = 2 + 4 = 6
         import cavityheat.geometry.identities as ident
 
-        calc = ident._SurfaceCalculus(sphere(1.0).charts[0], 1.2, 0.5)
-        P_a = [calc.dir_deriv(calc.P_field, 1.2, 0.5, a, 1e-3) for a in range(2)]
+        P_a = ident._covariant_data(sphere(1.0).charts[0], 1.2, 0.5)["P_a"]
         s = sum(np.trace(P_a[a] @ P_a[a] @ P_a[b] @ P_a[b])
                 for a in range(2) for b in range(2))
-        assert s == pytest.approx(6.0, abs=1e-8)
+        assert s == pytest.approx(6.0, abs=1e-13)
 
     def test_plane_trivial(self):
         chart = SurfaceChart.from_expressions(
@@ -56,13 +56,88 @@ class TestNumericalResiduals:
                                          1.1, 0.6)
         assert r.violations() == {}
 
-    def test_fd_step_validation(self):
-        with pytest.raises(ValueError):
-            curvature_identity_residuals(sphere(1.0).charts[0], 1.0, 1.0,
-                                         fd_step=10.0)
-        with pytest.raises(ValueError):
-            curvature_identity_residuals(sphere(1.0).charts[0], 1.0, 1.0,
-                                         fd_step=0.0)
+    def test_violations_flag_a_planted_error(self, monkeypatch):
+        chart = ellipsoid(1.0, 1.3, 1.7).charts[0]
+        clean = curvature_identity_residuals(chart, 1.1, 0.6)
+        assert 0 < clean.error_model < 1e-12
+        plant_tr_Pab_Pab(monkeypatch, 1e-8)
+        planted = curvature_identity_residuals(chart, 1.1, 0.6)
+        assert set(planted.violations()) == {"tr_Pab_Pab"}
+
+
+def plant_tr_Pab_Pab(monkeypatch, rel):
+    """Perturb the 6 tr L^4 term of tr_Pab_Pab's right side by rel."""
+    import cavityheat.geometry.identities as ident
+
+    right_sides = ident._right_sides
+
+    def planted(L, Lc, Lcd):
+        out = right_sides(L, Lc, Lcd)
+        L2 = L @ L
+        out["tr_Pab_Pab"] += rel * 6.0 * np.trace(L2 @ L2)
+        return out
+
+    monkeypatch.setattr(ident, "_right_sides", planted)
+
+
+def criterion_5_points():
+    """The 40 seeded points of acceptance criterion 5."""
+    rng = np.random.default_rng(20240815)
+    for model, u_win in ((ellipsoid(1.0, 1.3, 1.7), (0.4, 2.7)),
+                         (torus(2.0, 0.5), (0.0, 2 * np.pi))):
+        for _ in range(20):
+            u = rng.uniform(*u_win)
+            yield model.charts[0], u, rng.uniform(0.0, 2 * np.pi)
+
+
+SQUASHED_TORUS = """\
+schema 1
+components 1
+genera 1
+param R 2.0
+param r 0.41
+param squash 0.71
+chart
+  domain u 0 2*pi
+  domain v 0 2*pi
+  periodic u
+  periodic v
+  x (R + r*cos(u))*cos(v)
+  y (R + r*cos(u))*sin(v)
+  z squash*r*sin(u)
+  normal inward
+end
+"""
+
+
+class TestRoundingLevel:
+    """Exact derivatives put the residuals at rounding level, which gives
+    criterion 5 the power to see a small transcription error."""
+
+    def test_criterion_5_points_below_1e_11(self):
+        worst = max(curvature_identity_residuals(*p).max_residual
+                    for p in criterion_5_points())
+        assert worst < 1e-11
+
+    def test_planted_relative_error_detected(self, monkeypatch):
+        plant_tr_Pab_Pab(monkeypatch, 1e-8)
+        for point in criterion_5_points():
+            r = curvature_identity_residuals(*point)
+            assert r["tr_Pab_Pab"] > 1e-11, point
+            assert max(v for k, v in r.residuals.items()
+                       if k != "tr_Pab_Pab") < 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is double here: residuals sit at "
+                               "the float64 floor, ~1e-11 at curvature 5")
+    def test_squashed_torus_below_1e_11(self):
+        chart = loads_surface(SQUASHED_TORUS).charts[0]
+        rng = np.random.default_rng(20240815)
+        for _ in range(20):
+            u, v = rng.uniform(0.0, 2 * np.pi, 2)
+            r = curvature_identity_residuals(chart, u, v)
+            assert r.max_residual < 1e-11, (u, v, r.residuals)
+            assert r.violations() == {}
 
 
 class TestSymbolicReductions:

@@ -52,10 +52,22 @@ def pipeline_dir(tmp_path_factory):
       "--t-hi", "0.09"], {"sympy", "scipy.integrate"}),
     (["casimir", "--modes", "modes_em.csv", "--coeffs", "coeffs.json",
       "--regulator", "sqrt"], {"sympy", "scipy.integrate"}),
-], ids=["fit", "modes", "trace", "casimir"])
+    (["coeffs", "--surface", "torus", "--quad-order", "16", "--out", "c"],
+     {"sympy"}),
+    (["verify", "--points", "2", "--quad-order", "16", "--out", "v"],
+     {"sympy"}),
+], ids=["fit", "modes", "trace", "casimir", "coeffs", "verify"])
 def test_subcommand_footprint(pipeline_dir, argv, absent):
     code = f"from cavityheat.cli import main\nassert main({argv!r}) == 0"
     assert not loaded_after(code, pipeline_dir) & absent
+
+
+def test_surface_file_loads_no_sympy(tmp_path):
+    code = ("from cavityheat import loads_surface\n"
+            "loads_surface('schema 1\\ncomponents 1\\ngenera 0\\n"
+            "param a 2\\nchart\\n domain u 0 pi\\n domain v 0 2*pi\\n"
+            " x a*sin(u)*cos(v)\\n y sin(u)*sin(v)\\n z cos(u)\\nend')")
+    assert "sympy" not in loaded_after(code, tmp_path)
 
 
 def test_every_public_name_resolves():

@@ -1,0 +1,99 @@
+"""Truncated Taylor arithmetic against symbolic differentiation."""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+import cavityheat.geometry.curvature as curvature
+from cavityheat.geometry import QuadratureSpec, SurfaceChart, torus
+from cavityheat.geometry import jets
+from cavityheat.geometry.charts import compile_expression
+
+# every operation and function of the surface-file grammar
+EXPRESSIONS = [
+    "sqrt(1 + u^2*v) * exp(sin(u)) / (2 + cos(u*v))",
+    "sinh(u - v)^3 - u^v + 2^(u*v) - cosh(v)/(u + v)^2",
+    "(u + 2*v)^0.5 * (1.5 - u)^-2",
+]
+POINTS = [(0.7, 1.3), (1.1, 0.4)]
+ORDER = 4
+
+
+@pytest.mark.parametrize("text", EXPRESSIONS)
+def test_coefficients_match_symbolic_derivatives(text):
+    u, v = sp.symbols("u v")
+    expr = sp.sympify(text.replace("^", "**"))
+    fn = compile_expression(text, {}, ("u", "v"))
+    got = [fn(jets.Jet.variable(u0, 0, ORDER), jets.Jet.variable(v0, 1, ORDER))
+           for u0, v0 in POINTS]
+    for du in range(ORDER + 1):
+        for dv in range(ORDER + 1 - du):
+            deriv = sp.lambdify((u, v), sp.diff(expr, u, du, v, dv), "mpmath")
+            for jet, point in zip(got, POINTS):
+                want = float(deriv(*point))
+                assert jet.derivative(du, dv) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12), (du, dv, point)
+
+
+def test_gathered_and_termwise_products_agree(monkeypatch):
+    """The two summation orders of a product: one vectorised gather for
+    small values, term by term for grid-sized ones."""
+    rng = np.random.default_rng(3)
+    a = jets.Jet(rng.normal(size=(jets.size(ORDER), 3, 5)), ORDER)
+    b = jets.Jet(rng.normal(size=(jets.size(ORDER), 5)), ORDER)
+    gathered = (a * b).c
+    monkeypatch.setattr(jets, "_GATHER_LIMIT", 0)
+    termwise = (a * b).c
+    scale = np.abs(a.c).max() * np.abs(b.c).max() * 9
+    assert (np.max(np.abs(termwise - gathered))
+            <= 4 * np.finfo(float).eps * scale)
+
+
+def test_derivative_shifts_compose():
+    fn = compile_expression(EXPRESSIONS[0], {}, ("u", "v"))
+    jet = fn(jets.Jet.variable(0.7, 0, ORDER),
+             jets.Jet.variable(1.3, 1, ORDER))
+    for du, dv in [(1, 0), (0, 2), (1, 1)]:
+        d = jet.d(du, dv)
+        assert d.order == ORDER - du - dv
+        assert d.value == pytest.approx(jet.derivative(du, dv), rel=1e-15)
+        assert d.d(1, 1).value == pytest.approx(
+            jet.derivative(du + 1, dv + 1), rel=1e-14)
+
+
+def test_open_mesh_and_blocks_change_no_value(monkeypatch):
+    chart = torus(2.0, 0.5).charts[0]
+    U, V, _ = QuadratureSpec(order=8).grid(chart)
+    assert U.shape == (16, 1) and V.shape == (1, 16)
+    sparse = curvature.curvature_grid(chart, U, V, need_grad=True)
+    full = curvature.curvature_grid(chart, *np.broadcast_arrays(U, V),
+                                    need_grad=True)
+    monkeypatch.setattr(curvature, "_BLOCK", 40)
+    blocked = curvature.curvature_grid(chart, U, V, need_grad=True)
+    for name, value in sparse.items():
+        assert np.array_equal(value, full[name]), name
+        assert np.array_equal(value, blocked[name]), name
+
+
+def test_constant_component_chart():
+    chart = SurfaceChart.from_expressions(
+        "u", "v", "1/2", u_range=(0, 1), v_range=(0, 1), name="lifted plane")
+    r = chart.deriv(0, 0)(np.array([[0.25], [0.5]]), np.array([[0.1, 0.2]]))
+    assert r.shape == (3, 2, 2)
+    assert np.all(r[2] == 0.5)
+    assert chart.deriv(1, 0)(0.3, 0.3).tolist() == [1.0, 0.0, 0.0]
+
+
+def test_long_double_points_keep_their_precision():
+    x = jets.Jet.variable(np.longdouble(1) / 3, 0, 2)
+    y = jets.sqrt(jets.sin(x) * x + 1.0) / (x + 2.0)
+    assert y.c.dtype == np.longdouble
+    third = np.longdouble(1) / 3
+    want = np.sqrt(np.sin(third) * third + 1) / (third + 2)
+    assert abs(y.value - want) <= 4 * np.finfo(np.longdouble).eps
+
+
+def test_order_too_high_rejected():
+    with pytest.raises(ValueError):
+        jets.Jet.variable(1.0, 0, 2).d(2, 1)
+    assert jets.size(4) == 15

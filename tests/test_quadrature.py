@@ -116,6 +116,16 @@ class TestGradLaplacianPair:
         b = trL_lap_trL_integral(model, Q16).value
         assert abs(a + b) < 1e-6 * max(abs(a), 1.0)
 
+    @pytest.mark.parametrize("model", [ellipsoid(1.0, 1.0, 2.0),
+                                       torus(2.0, 0.5),
+                                       ellipsoid(1.0, 1.3, 1.7)])
+    def test_exact_laplacian_agrees_to_quadrature(self, model):
+        # both integrands are exact pointwise, so only quadrature separates
+        # them, far below the finite-difference floor of ~1e-9
+        a = grad_trL_sq_integral(model, Q32).value
+        b = trL_lap_trL_integral(model, Q32).value
+        assert abs(a + b) < 1e-12 * max(abs(a), 1.0)
+
     def test_sphere_both_vanish(self):
         assert abs(grad_trL_sq_integral(sphere(1.0), Q16).value) < 1e-20
         assert abs(trL_lap_trL_integral(sphere(1.0), Q16).value) < 1e-9

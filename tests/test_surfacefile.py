@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityheat import (
     QuadratureSpec,
@@ -149,6 +151,90 @@ class TestErrors:
                 "  domain u 0 1\n  domain v 0 1\n"
                 "  x os.getcwd()\n  y v\n  z u\nend")
         assert "plain function calls" in str(self.err(text))
+
+
+def with_line(line, chart_line="  x u"):
+    """A valid sphere-like file with one extra top-level line and one
+    replaced chart line."""
+    return ("schema 1\ncomponents 1\ngenera 0\n" + line + "\nchart\n"
+            "  domain u 0 pi\n  domain v 0 2*pi\n" + chart_line + "\n"
+            "  y v\n  z u*v\nend\n")
+
+
+# values evaluated at parse time: (line, message, line number, column)
+VALUE_ERRORS = {
+    "div-zero": (with_line("param a 1/0"), "division by zero", 4, 9),
+    "domain-error": (with_line("param a sqrt(-1)"), "math domain", 4, 9),
+    "overflow": (with_line("param a 2^2^2^2^2"), "overflows", 4, 9),
+    "non-finite": (with_line("param a 1e308*10"), "non-finite", 4, 9),
+    "bool": (with_line("param a True"), "unsupported literal True", 4, 9),
+    "domain-bound": (with_line("", "  domain u -1/0 pi"), "division by zero",
+                     8, 12),
+    "variable-by-zero": (with_line("", "  x u/0"), "division by zero", 8, 5),
+}
+
+
+class TestParseTimeValues:
+    @pytest.mark.parametrize("case", VALUE_ERRORS)
+    def test_reported_at_position(self, case):
+        text, message, line, column = VALUE_ERRORS[case]
+        with pytest.raises(SurfaceFileError, match=message) as err:
+            loads_surface(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_parameters_are_floats(self):
+        model = loads_surface(with_line("param a 1/4", "  x a*u"))
+        chart = model.charts[0]
+        assert chart.deriv(1, 0)(1.0, 1.0)[0] == 0.25
+
+    @pytest.mark.parametrize("levels", [300, 301, 5000])
+    def test_long_sums(self, levels):
+        # a sum 300 operators deep compiles and evaluates; deeper ones
+        # are parse errors, never a RecursionError
+        terms = levels + 1
+        text = with_line("", "  x " + "+".join(["u"] * terms))
+        if levels > 300:
+            with pytest.raises(SurfaceFileError, match="nested more than"):
+                loads_surface(text)
+            return
+        chart = loads_surface(text).charts[0]
+        assert chart.deriv(1, 0)(0.5, 0.5)[0] == terms
+        assert curvature_grid(chart, 0.5, 0.5)["w"] > 0
+
+    def test_topology_errors_are_file_errors(self):
+        text = with_line("").replace("genera 0", "genera 0 1")
+        with pytest.raises(SurfaceFileError, match="genera") as err:
+            loads_surface(text)
+        assert err.value.line == 3
+        with pytest.raises(SurfaceFileError, match="component"):
+            loads_surface(with_line("").replace("chart\n", "chart 2\n"))
+
+
+EXPRESSION_TOKENS = ("u", "v", "pi", "a", "0", "1", "2.5", "1e308", "True",
+                     "+", "-", "*", "/", "^", "**", "(", ")", "sin(",
+                     "sqrt(", "exp(", "cosh(", "tan(", ",", " ", ".", "x")
+DIRECTIVES = ("schema 1", "components 1", "components 2", "genera 0",
+              "genera -1", "name n", "param", "chart", "chart 0", "domain",
+              "domain u", "periodic u", "periodic w", "x", "normal inward",
+              "normal up", "end", "frobnicate")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DIRECTIVES),
+                          st.lists(st.sampled_from(EXPRESSION_TOKENS),
+                                   max_size=8).map("".join)),
+                max_size=12),
+       st.integers(0, 12))
+def test_fuzzed_files_raise_only_surface_file_errors(lines, at):
+    """Fuzzed directives and expressions, alone and spliced into a valid
+    file, parse or raise SurfaceFileError, never anything else."""
+    fuzz = [f"{key} {expr}" for key, expr in lines]
+    valid = with_line("param a 2").splitlines()
+    for text in ("\n".join(fuzz), "\n".join(valid[:at] + fuzz + valid[at:])):
+        try:
+            loads_surface(text)
+        except SurfaceFileError:
+            pass
 
 
 def test_load_from_path(tmp_path):
