@@ -1,10 +1,16 @@
 """Surface quadrature: exact areas/volumes, Gauss-Bonnet, convergence."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityheat
+from cavityheat.geometry import curvature
 from cavityheat.geometry import (
     EvaluationError,
     OrientationError,
@@ -139,3 +145,30 @@ class TestSpecValidation:
     def test_refine_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=8, refine=1)
+
+
+# faults of the third evaluation of a 65,536-node grid, in a fresh process
+_REPEAT_FAULTS = """
+import resource
+from cavityheat.geometry import QuadratureSpec, curvature_grid, lap_trL_grid, torus
+chart = torus(2.0, 0.5).charts[0]
+U, V, _ = QuadratureSpec(order=128).grid(chart)
+for _ in range(3):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    curvature_grid(chart, U, V, need_grad=True)
+    lap_trL_grid(chart, U, V)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+@pytest.mark.skipif(not curvature._retain_heap(), reason="glibc only")
+def test_block_memory_is_reused():
+    # with glibc's adaptive defaults the repeat faulted 16,000 to
+    # 30,000 pages; the fixed thresholds keep a block's temporaries in
+    # the heap
+    src = str(Path(cavityheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _REPEAT_FAULTS],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 1000
