@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .asymptotics import weighted_power_fit
 from .spectrum import (
@@ -40,6 +39,7 @@ from .spectrum import (
     TailCorrected,
     TAIL_DENSITY_RELERR,
     smallest_usable,
+    upper_gamma_3_2,
 )
 
 __all__ = [
@@ -86,8 +86,7 @@ def _regulated_parts(modes, gamma, kind):
     if kind is RegulatorKind.HEAT:
         z = gamma * W * W
         term2 = c2 * 0.5 * (1.0 + z) * math.exp(-z) / gamma ** 2
-        term1 = (c1 * 0.5 * gamma ** -1.5
-                 * float(gammaincc(1.5, z)) * math.gamma(1.5))
+        term1 = c1 * 0.5 * gamma ** -1.5 * upper_gamma_3_2(z)
         return raw, term2 + term1
     s = math.sqrt(gamma)
     u = s * W

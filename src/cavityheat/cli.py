@@ -41,6 +41,24 @@ class SystemExit1(Exception):
     pass
 
 
+def positive_float(text):
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def positive_int(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 class ToleranceFailure(Exception):
     """Numerical check failed; carries machine-readable diagnostics."""
 
@@ -230,6 +248,9 @@ def _cmd_fit(args, parser):
         keep &= t >= args.t_lo
     if args.t_hi is not None:
         keep &= t <= args.t_hi
+    if not keep.any():
+        raise SystemExit1(f"no samples of {args.trace} lie in the window "
+                          f"[{args.t_lo}, {args.t_hi}]")
     samples = (t[keep], np.atleast_1d(rows["K"])[keep],
                np.atleast_1d(rows["bound"])[keep])
     pinned = {-1.0: 0.0} if args.pin_a1_zero else {}
@@ -391,35 +412,35 @@ def build_parser():
     p = sub.add_parser("coeffs", help="curvature-integral coefficients")
     p.add_argument("--surface", default="sphere",
                    help="sphere | ellipsoid | torus | file:PATH")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--axes", type=float, nargs=3, default=(1.0, 1.3, 1.7),
-                   metavar=("A", "B", "C"))
-    p.add_argument("--ring-radius", type=float, default=2.0)
-    p.add_argument("--tube-radius", type=float, default=0.5)
-    p.add_argument("--quad-order", type=int, default=32)
+    p.add_argument("--radius", type=positive_float, default=1.0)
+    p.add_argument("--axes", type=positive_float, nargs=3,
+                   default=(1.0, 1.3, 1.7), metavar=("A", "B", "C"))
+    p.add_argument("--ring-radius", type=positive_float, default=2.0)
+    p.add_argument("--tube-radius", type=positive_float, default=0.5)
+    p.add_argument("--quad-order", type=positive_int, default=32)
     add_out(p)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("modes", help="enumerate ball spectra to CSV")
     p.add_argument("--p", choices=_P_CHOICES, default="em")
-    p.add_argument("--omega-max", type=float, default=60.0)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--omega-max", type=positive_float, default=60.0)
+    p.add_argument("--radius", type=positive_float, default=1.0)
     add_out(p)
     p.set_defaults(func=_cmd_modes)
 
     p = sub.add_parser("trace", help="heat-trace samples from a mode CSV")
     p.add_argument("--modes", required=True)
-    p.add_argument("--t-lo", type=float, default=0.006)
-    p.add_argument("--t-hi", type=float, default=0.06)
-    p.add_argument("--t-points", type=int, default=40)
-    p.add_argument("--rtol", type=float, default=1e-8)
+    p.add_argument("--t-lo", type=positive_float, default=0.006)
+    p.add_argument("--t-hi", type=positive_float, default=0.06)
+    p.add_argument("--t-points", type=positive_int, default=40)
+    p.add_argument("--rtol", type=positive_float, default=1e-8)
     add_out(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("fit", help="coefficients from a trace CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--t-lo", type=float)
-    p.add_argument("--t-hi", type=float)
+    p.add_argument("--t-lo", type=positive_float)
+    p.add_argument("--t-hi", type=positive_float)
     p.add_argument("--pin-a1-zero", action="store_true",
                    help="pin the t^-1 coefficient to 0")
     add_out(p)
@@ -430,19 +451,20 @@ def build_parser():
     p.add_argument("--coeffs", required=True,
                    help="coefficient report JSON from 'coeffs'")
     p.add_argument("--regulator", choices=("heat", "sqrt"), default="heat")
+    # checked against the regulator-integral domain in _cmd_casimir
     p.add_argument("--gamma-lo", type=float, default=1e-3)
-    p.add_argument("--gamma-hi", type=float, default=5e-2)
-    p.add_argument("--gamma-points", type=int, default=40)
-    p.add_argument("--z-threshold", type=float, default=2.0,
+    p.add_argument("--gamma-hi", type=positive_float, default=5e-2)
+    p.add_argument("--gamma-points", type=positive_int, default=40)
+    p.add_argument("--z-threshold", type=positive_float, default=2.0,
                    help="half-power significance treated as a violation")
     add_out(p)
     p.set_defaults(func=_cmd_casimir)
 
     p = sub.add_parser("verify", help="exact relations and identity residuals")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--quad-order", type=int, default=64)
-    p.add_argument("--identity-tol", type=float, default=1e-6)
+    p.add_argument("--points", type=positive_int, default=20)
+    p.add_argument("--quad-order", type=positive_int, default=64)
+    p.add_argument("--identity-tol", type=positive_float, default=1e-6)
     add_out(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -72,8 +72,8 @@ class SurfaceModel:
 
 def sphere(radius=1.0) -> SurfaceModel:
     """Round sphere of the given radius, inward normal (tr L = 2/radius)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     chart = SurfaceChart.from_expressions(
         "R*sin(u)*cos(v)", "R*sin(u)*sin(v)", "R*cos(u)",
         params={"R": radius},
@@ -91,8 +91,9 @@ def sphere(radius=1.0) -> SurfaceModel:
 
 def ellipsoid(a=1.0, b=1.0, c=1.0) -> SurfaceModel:
     """Axis-aligned ellipsoid with semi-axes a, b, c."""
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in (a, b, c)):
+        raise ValueError(
+            f"semi-axes must be finite and positive, got {(a, b, c)!r}")
     chart = SurfaceChart.from_expressions(
         "a*sin(u)*cos(v)", "b*sin(u)*sin(v)", "c*cos(u)",
         params={"a": a, "b": b, "c": c},
@@ -113,8 +114,8 @@ def torus(ring_radius=2.0, tube_radius=0.5) -> SurfaceModel:
     With the inward normal, both principal curvatures are positive on the
     outer equator and the Gauss curvature integrates to zero (genus 1).
     """
-    if not 0 < tube_radius < ring_radius:
-        raise ValueError("need 0 < tube_radius < ring_radius")
+    if not 0 < tube_radius < ring_radius < math.inf:
+        raise ValueError("need 0 < tube_radius < ring_radius < inf")
     chart = SurfaceChart.from_expressions(
         "(R + r*cos(u))*cos(v)", "(R + r*cos(u))*sin(v)", "r*sin(u)",
         params={"R": ring_radius, "r": tube_radius},

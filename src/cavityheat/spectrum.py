@@ -43,7 +43,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc, spherical_jn
 
 from .errors import BracketError, CutoffTooLowError
 
@@ -81,6 +80,19 @@ TAIL_DENSITY_RELERR = 0.04
 # orders (>= 1.017 for cutoffs up to 200), which a coarse bracket must
 # not swallow, else the next level fails its sign check.
 _COARSE_WIDTH = 1e-3
+
+
+def spherical_jn(l, x, derivative=False):
+    """scipy's spherical Bessel j_l (or j_l'), imported at the first call."""
+    from scipy.special import spherical_jn as jn
+    return jn(l, x, derivative)
+
+
+def upper_gamma_3_2(z):
+    """Gamma(3/2, z) = sqrt(z) e^-z + (sqrt(pi)/2) erfc(sqrt(z)), z >= 0
+    (DLMF 8.4.6, 8.8.2); both terms are positive, so no digits cancel."""
+    r = math.sqrt(z)
+    return r * math.exp(-z) + 0.5 * math.sqrt(math.pi) * math.erfc(r)
 
 
 @dataclass(frozen=True)
@@ -311,7 +323,14 @@ def _rows(family, l, roots, radius):
     }
 
 
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _enumerate(families, omega_max, radius):
+    _require_positive("omega_max", omega_max)
+    _require_positive("radius", radius)
     x_max = omega_max * radius
     if x_max > 200.0:
         raise ValueError(
@@ -376,10 +395,7 @@ class ModeList:
                              f"expected one of {', '.join(FAMILIES)}")
         object.__setattr__(self, "family", family.astype("U9"))
         for name in ("radius", "omega_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value!r}")
+            _require_positive(name, getattr(self, name))
         if np.any(np.asarray(self.multiplicity) < 1):
             raise ValueError("multiplicities must be positive")
         order = np.lexsort((self.l, self.family, lam))
@@ -606,7 +622,7 @@ def _heat_parts(modes, t):
     c2, c1 = modes.density
     W = modes.omega_max
     z = t * W * W
-    term2 = c2 * 0.5 * t ** -1.5 * gammaincc(1.5, z) * math.gamma(1.5)
+    term2 = c2 * 0.5 * t ** -1.5 * upper_gamma_3_2(z)
     term1 = c1 * 0.5 / t * math.exp(-z)
     return raw, term2 + term1
 

@@ -235,6 +235,51 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """modes_em.csv, trace.csv and coeffs.json of a small pipeline."""
+    out = tmp_path_factory.mktemp("small")
+    for argv in (("modes", "--omega-max", 20),
+                 ("trace", "--modes", out / "modes_em.csv",
+                  "--t-lo", 0.06, "--t-hi", 0.2),
+                 ("coeffs", "--surface", "sphere", "--quad-order", 16)):
+        assert run(out, *argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("trace", "--modes", "{modes}", "--t-lo", "nan"), "--t-lo"),
+    (("trace", "--modes", "{modes}", "--t-points", "0"), "--t-points"),
+    (("verify", "--identity-tol", "nan"), "--identity-tol"),
+    (("verify", "--points", "-1"), "--points"),
+    (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
+      "--z-threshold", "nan"), "--z-threshold"),
+    (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
+      "--gamma-hi", "nan"), "--gamma-hi"),
+    (("modes", "--radius", "-1", "--omega-max", "20"), "--radius"),
+    (("modes", "--omega-max", "nan"), "--omega-max"),
+    (("coeffs", "--surface", "ellipsoid", "--axes", "1", "1", "nan"),
+     "--axes"),
+    (("fit", "--trace", "{trace}", "--t-lo", "10"), "window"),
+], ids=["trace-t-lo-nan", "trace-t-points-0", "verify-identity-tol-nan",
+        "verify-points-negative", "casimir-z-threshold-nan",
+        "casimir-gamma-hi-nan", "modes-radius-negative",
+        "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window"])
+def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
+                                    names):
+    files = {k: small_run / f for k, f in (
+        ("modes", "modes_em.csv"), ("trace", "trace.csv"),
+        ("coeffs", "coeffs.json"))}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([a.format(**files) for a in argv]
+                + ["--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and names in errors[0], errors
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestPipeline:
     def test_modes_trace_fit_roundtrip(self, tmp_path):
         assert run(tmp_path, "modes", "--p", "em", "--omega-max", 40) == 0

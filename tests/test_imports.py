@@ -44,22 +44,30 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
+# only modes evaluates a Bessel function, so only modes loads scipy
 @pytest.mark.parametrize("argv, absent", [
     (["fit", "--trace", "trace.csv"], {"scipy", "sympy"}),
     (["modes", "--omega-max", "20", "--out", "small"],
      {"sympy", "scipy.integrate"}),
     (["trace", "--modes", "modes_em.csv", "--t-lo", "0.015",
-      "--t-hi", "0.09"], {"sympy", "scipy.integrate"}),
+      "--t-hi", "0.09"], {"scipy", "sympy"}),
     (["casimir", "--modes", "modes_em.csv", "--coeffs", "coeffs.json",
-      "--regulator", "sqrt"], {"sympy", "scipy.integrate"}),
+      "--regulator", "sqrt"], {"scipy", "sympy"}),
     (["coeffs", "--surface", "torus", "--quad-order", "16", "--out", "c"],
-     {"sympy"}),
+     {"scipy", "sympy"}),
     (["verify", "--points", "2", "--quad-order", "16", "--out", "v"],
-     {"sympy"}),
+     {"scipy", "sympy"}),
 ], ids=["fit", "modes", "trace", "casimir", "coeffs", "verify"])
 def test_subcommand_footprint(pipeline_dir, argv, absent):
     code = f"from cavityheat.cli import main\nassert main({argv!r}) == 0"
     assert not loaded_after(code, pipeline_dir) & absent
+
+
+def test_scipy_loads_at_the_first_bessel_evaluation(tmp_path):
+    code = "from cavityheat.spectrum import ModeList, heat_trace"
+    assert "scipy" not in loaded_after(code, tmp_path)
+    code += "\nfrom cavityheat import em_modes\nem_modes(5.0)"
+    assert "scipy" in loaded_after(code, tmp_path)
 
 
 def test_surface_file_loads_no_sympy(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 import cavityheat
 from cavityheat.geometry import curvature
+from cavityheat.geometry.quadrature import gauss_legendre
 from cavityheat.geometry import (
     EvaluationError,
     OrientationError,
@@ -145,6 +146,63 @@ class TestSpecValidation:
     def test_refine_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=8, refine=1)
+
+
+@pytest.mark.parametrize("build, args", [
+    (sphere, (math.nan,)), (sphere, (math.inf,)), (sphere, (0.0,)),
+    (ellipsoid, (1.0, 1.0, math.nan)), (ellipsoid, (1.0, math.inf, 1.0)),
+    (ellipsoid, (-1.0, 1.0, 1.0)), (torus, (math.nan, 0.5)),
+    (torus, (2.0, math.nan)), (torus, (math.inf, 0.5)), (torus, (2.0, 0.0)),
+])
+def test_model_sizes_must_be_finite_and_positive(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+def reference_rule(n, start):
+    """30-digit Gauss-Legendre nodes and weights, by Newton's method on the
+    Legendre recurrence from the float nodes ``start``."""
+    import mpmath as mp
+
+    def legendre(x):                   # P_n(x), P_n'(x)
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    with mp.workdps(40):
+        nodes, weights = [], []
+        for x in map(mp.mpf, start):
+            for _ in range(2):         # errors ~1e-16, ~1e-28, ~1e-52
+                p, dp = legendre(x)
+                x -= p / dp
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [4, 16, 32, 64, 128, 256])
+    def test_matches_30_digit_rule(self, n):
+        x, w = gauss_legendre(n)
+        nodes, weights = reference_rule(n, x)
+        assert np.all(np.diff(x) > 0)
+        assert max(abs(float(a - b)) for a, b in zip(x, nodes)) <= 2.3e-16
+        # scipy's roots_legendre reads 5.5e-11 at n = 128, 1.3e-10 at 256
+        assert max(abs(float((a - b) / b))
+                   for a, b in zip(w, weights)) <= 1e-12
+        assert abs(math.fsum(w) - 2.0) <= 8 * np.spacing(2.0)
+        exact = 2.0 / (2 * n - 1)
+        moment = math.fsum(w * x ** (2 * n - 2))
+        assert abs(moment - exact) <= 1e-13 * exact
+
+    def test_each_order_is_computed_once_and_read_only(self):
+        x, w = gauss_legendre(24)
+        again = gauss_legendre(24)
+        assert again[0] is x and again[1] is w
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 # faults of the third evaluation of a 65,536-node grid, in a fresh process

@@ -33,6 +33,7 @@ from cavityheat.spectrum import (
     neumann_modes,
     resolvent2_expansion,
     resolvent2_trace,
+    upper_gamma_3_2,
 )
 
 J1_ZERO = 4.493409457909064
@@ -114,6 +115,17 @@ class TestEnumeration:
     def test_domain_limit_enforced(self):
         with pytest.raises(ValueError, match="exceeds"):
             em_modes(150.0, radius=2.0)
+
+    @pytest.mark.parametrize("enumerate_modes", [
+        em_modes, dirichlet_modes, neumann_modes, partial(form_modes, 1)],
+        ids=["em", "dirichlet", "neumann", "p1"])
+    @pytest.mark.parametrize("omega_max, radius", [
+        (20.0, -1.0), (20.0, 0.0), (math.nan, 1.0), (20.0, math.inf),
+        (-20.0, -1.0)])
+    def test_non_finite_or_non_positive_size_rejected(
+            self, enumerate_modes, omega_max, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            enumerate_modes(omega_max, radius)
 
 
 class TestCompleteness:
@@ -230,6 +242,15 @@ class TestHeatTrace:
         heat_trace(em60, t_min, rtol=rtol)  # no raise
         with pytest.raises(CutoffTooLowError):
             heat_trace(em60, np.nextafter(t_min, 0), rtol=rtol)
+
+    def test_upper_gamma_3_2_matches_30_digits(self):
+        import mpmath as mp
+
+        # scipy's gammaincc(1.5, z) * gamma(1.5) reads up to 6e-14 here
+        with mp.workdps(30):
+            for z in np.geomspace(1e-6, 700.0, 200):
+                want = mp.gammainc(mp.mpf(1.5), mp.mpf(z))
+                assert abs(upper_gamma_3_2(z) - want) <= 1e-15 * want
 
     def test_samples_vectorised(self, em30):
         ts = np.geomspace(0.05, 0.5, 7)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityheat.geometry import TopologyInfo
 from cavityheat.tables import (
@@ -50,6 +52,17 @@ def test_all_relations_hold_exactly(topology):
     report = consistency_report(topology)
     bad = [c for c in report if not c.ok]
     assert not bad, bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       genera=st.lists(st.integers(0, 5), min_size=1, max_size=4))
+def test_relations_hold_for_any_topology(data, genera):
+    report = consistency_report(TopologyInfo(len(genera), tuple(genera)))
+    assert all(c.ok for c in report), [c for c in report if not c.ok]
+    permuted = data.draw(st.permutations(genera))
+    again = consistency_report(TopologyInfo(len(genera), tuple(permuted)))
+    assert again == report
 
 
 def test_report_covers_both_routes_and_all_orders():
