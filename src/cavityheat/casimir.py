@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import weighted_power_fit
+from .asymptotics import IllPosedFitError, weighted_power_fit
 from .spectrum import (
     CutoffTooLowError,
     ModeList,
@@ -244,7 +244,8 @@ def _next_order_sigma(gammas, remainder, sigma):
     pattern as the next-order model of the heat-trace fit).  Extension
     coefficients the data cannot pin down (below two of their own
     standard errors) are discarded rather than allowed to inflate every
-    uncertainty with noise.
+    uncertainty with noise, and so is an extended fit too ill-conditioned
+    to solve; any other error propagates.
     """
     g = np.asarray(gammas, dtype=float)
     if len(g) < 12:
@@ -252,7 +253,7 @@ def _next_order_sigma(gammas, remainder, sigma):
     extended = np.column_stack([_scan_design(g), g * np.log(g), g])
     try:
         coef, err, *_ = weighted_power_fit(extended, remainder, sigma)
-    except Exception:
+    except IllPosedFitError:
         return sigma
     out = np.array(sigma, dtype=float)
     for c, e, column in ((coef[-2], err[-2], np.abs(g * np.log(g))),

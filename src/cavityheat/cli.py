@@ -59,6 +59,15 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 class ToleranceFailure(Exception):
     """Numerical check failed; carries machine-readable diagnostics."""
 
@@ -96,6 +105,14 @@ def _manifest(args, inputs=(), t0=None):
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+
+
+def _write_csv(path, header, *columns):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
     print(f"wrote {path}")
 
 
@@ -161,8 +178,7 @@ def _cmd_coeffs(args, parser):
         "surface": {"name": model.name,
                     "components": topo.components,
                     "genera": list(topo.genera)},
-        "quadrature": {"order": quad.order,
-                       "periodic_factor": quad.periodic_factor},
+        "quadrature": {"order": quad.order, "periodic_factor": 2},
         "moments": moments.as_dict(),
         "em": em.as_dict(),
         "forms": forms,
@@ -226,12 +242,7 @@ def _cmd_trace(args, parser):
     modes = ModeList.from_csv(args.modes)
     ts = np.geomspace(args.t_lo, args.t_hi, args.t_points)
     t, K, bound = heat_trace_samples(modes, ts, rtol=args.rtol)
-    out = _out_dir(args) / "trace.csv"
-    with open(out, "w") as fh:
-        fh.write("t,K,bound\n")
-        for row in zip(t, K, bound):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    print(f"wrote {out}")
+    _write_csv(_out_dir(args) / "trace.csv", "t,K,bound", t, K, bound)
     _write_json(_out_dir(args) / "trace.manifest.json",
                 _manifest(args, [args.modes], t0))
     return 0
@@ -264,11 +275,8 @@ def _cmd_fit(args, parser):
                "manifest": _manifest(args, [args.trace], t0)}
     _write_json(_out_dir(args) / "fit.json", payload)
     model = sum(result.value(e) * samples[0] ** e for e in config.exponents)
-    with open(_out_dir(args) / "fit_curve.csv", "w") as fh:
-        fh.write("t,K,model\n")
-        for row in zip(samples[0], samples[1], model):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    print(f"wrote {_out_dir(args) / 'fit_curve.csv'}")
+    _write_csv(_out_dir(args) / "fit_curve.csv", "t,K,model",
+               samples[0], samples[1], model)
     if result.condition_number > 1e6:
         print(f"note: condition number {result.condition_number:.3g}",
               file=sys.stderr)
@@ -314,12 +322,8 @@ def _cmd_casimir(args, parser):
     scan = remainder_scan(modes, pred, gammas, z_threshold=args.z_threshold)
 
     out = _out_dir(args)
-    with open(out / "scan.csv", "w") as fh:
-        fh.write("gamma,S,prediction,remainder\n")
-        for row in zip(scan.gammas, scan.values, scan.prediction,
-                       scan.remainder):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    print(f"wrote {out / 'scan.csv'}")
+    _write_csv(out / "scan.csv", "gamma,S,prediction,remainder",
+               scan.gammas, scan.values, scan.prediction, scan.remainder)
 
     integrals = {}
     for n in range(5):
@@ -461,7 +465,7 @@ def build_parser():
     p.set_defaults(func=_cmd_casimir)
 
     p = sub.add_parser("verify", help="exact relations and identity residuals")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--points", type=positive_int, default=20)
     p.add_argument("--quad-order", type=positive_int, default=64)
     p.add_argument("--identity-tol", type=positive_float, default=1e-6)

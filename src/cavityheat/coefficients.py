@@ -4,8 +4,11 @@ The six expansion coefficients a_0..a_5 (of sum_n a_n t^((n-3)/2)) are
 linear in eleven geometric moments: the volume, the boundary area, and
 integrals of tr L, (tr L)^2, det L, (tr L)^3, tr L det L, (tr L)^4,
 (tr L)^2 det L, (det L)^2 and tr L lap(tr L) over the boundary.  The
-exact rational constants live in :mod:`cavityheat.tables`; floats enter
-only here, multiplied by quadrature moments.
+ten boundary moments come from one call of the two-level integrator
+:func:`cavityheat.geometry.quadrature.integrate`, the volume from
+:func:`~cavityheat.geometry.quadrature.enclosed_volume`.  The exact
+rational constants live in :mod:`cavityheat.tables`; floats enter only
+in ``_combine``, which forms every linear combination of moments.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .geometry import QuadratureSpec, SurfaceModel, TopologyInfo
 from .geometry.curvature import curvature_grid
-from .geometry.quadrature import enclosed_volume
+from .geometry.quadrature import Measurement, enclosed_volume, integrate
 from .tables import MOMENT_SLOTS, em_exact, em_topology_term, form_exact
 
 __all__ = [
@@ -36,25 +39,8 @@ __all__ = [
 ]
 
 # powers of length carried by each moment, for scaling checks
-MOMENT_DIMENSIONS = {
-    "volume": 3, "area": 2, "trL": 1,
-    "trL2": 0, "detL": 0,
-    "trL3": -1, "trL_detL": -1,
-    "trL4": -2, "trL2_detL": -2, "detL2": -2, "trL_lap_trL": -2,
-}
-
-
-@dataclass(frozen=True)
-class Measurement:
-    value: float
-    error: float
-
-    def __float__(self):
-        return self.value
-
-    def scaled(self, factor, error_factor=None):
-        ef = abs(factor) if error_factor is None else error_factor
-        return Measurement(self.value * factor, self.error * ef)
+MOMENT_DIMENSIONS = {slot: 3 - n
+                     for n, slots in MOMENT_SLOTS.items() for slot in slots}
 
 
 @dataclass(frozen=True)
@@ -92,44 +78,22 @@ class GeometricMoments:
         return GeometricMoments(**kw)
 
 
-def _boundary_moments(model, quad):
-    """One-pass evaluation of all boundary integrands at a node level."""
-    names = ("area", "trL", "trL2", "detL", "trL3", "trL_detL",
-             "trL4", "trL2_detL", "detL2", "grad_sq")
-    totals = dict.fromkeys(names, 0.0)
-    for chart in model.charts:
-        U, V, W = quad.grid(chart)
-        g = curvature_grid(chart, U, V, need_grad=True)
-        w = g["w"]
-        t, d, gs = g["trL"], g["detL"], g["grad_trL_sq"]
-        fields = {
-            "area": np.ones_like(t), "trL": t, "trL2": t * t, "detL": d,
-            "trL3": t ** 3, "trL_detL": t * d,
-            "trL4": t ** 4, "trL2_detL": t * t * d, "detL2": d * d,
-            "grad_sq": gs,
-        }
-        for k, vals in fields.items():
-            totals[k] += float(np.sum(W * w * vals))
-    return totals
+def _boundary_fields(chart, U, V):
+    """Area element and the ten boundary integrands from one grid."""
+    g = curvature_grid(chart, U, V, need_grad=True)
+    t, d = g["trL"], g["detL"]
+    return g["w"], {
+        "area": np.ones_like(t), "trL": t, "trL2": t * t, "detL": d,
+        "trL3": t ** 3, "trL_detL": t * d,
+        "trL4": t ** 4, "trL2_detL": t * t * d, "detL2": d * d,
+        "trL_lap_trL": -g["grad_trL_sq"],
+    }
 
 
 def compute_moments(model: SurfaceModel, quad: QuadratureSpec) -> GeometricMoments:
     """All eleven moments of a closed model, with refinement error bars."""
-    coarse = _boundary_moments(model, quad)
-    fine = _boundary_moments(model, quad.refined())
-    vol = enclosed_volume(model, quad)
-
-    def meas(key):
-        return Measurement(fine[key], abs(fine[key] - coarse[key]))
-
-    grad_sq = meas("grad_sq")
-    return GeometricMoments(
-        volume=Measurement(vol.value, vol.error),
-        area=meas("area"), trL=meas("trL"), trL2=meas("trL2"),
-        detL=meas("detL"), trL3=meas("trL3"), trL_detL=meas("trL_detL"),
-        trL4=meas("trL4"), trL2_detL=meas("trL2_detL"), detL2=meas("detL2"),
-        trL_lap_trL=Measurement(-grad_sq.value, grad_sq.error),
-    )
+    return GeometricMoments(volume=enclosed_volume(model, quad),
+                            **integrate(model, _boundary_fields, quad))
 
 
 @dataclass(frozen=True)
@@ -142,7 +106,6 @@ class HeatCoefficientSet:
     kind: str
     values: tuple
     errors: tuple
-    provenance: str = "quadrature"
 
     def __post_init__(self):
         if len(self.values) != 6 or len(self.errors) != 6:
@@ -156,7 +119,7 @@ class HeatCoefficientSet:
             "kind": self.kind,
             "values": list(self.values),
             "errors": list(self.errors),
-            "provenance": self.provenance,
+            "provenance": "quadrature",
         }
 
     def scaled(self, s):
@@ -165,23 +128,19 @@ class HeatCoefficientSet:
             kind=self.kind,
             values=tuple(a * s ** (3 - n) for n, a in enumerate(self.values)),
             errors=tuple(e * s ** (3 - n) for n, e in enumerate(self.errors)),
-            provenance=self.provenance,
         )
 
 
+def _combine(moments, coeffs):
+    """Value and error of sum_slot c * moment(slot), for ``{slot: c}``."""
+    terms = [(float(c), moments[slot]) for slot, c in coeffs.items()]
+    return Measurement(sum(c * m.value for c, m in terms),
+                       sum(abs(c) * m.error for c, m in terms))
+
+
 def _assemble(exact_map, moments):
-    values, errors = [], []
-    for n in range(6):
-        val = err = 0.0
-        for slot in MOMENT_SLOTS[n]:
-            entry = exact_map[n].get(slot)
-            coeff = float(entry) if entry is not None else 0.0
-            m = moments[slot]
-            val += coeff * m.value
-            err += abs(coeff) * m.error
-        values.append(val)
-        errors.append(err)
-    return values, errors
+    parts = [_combine(moments, exact_map[n]) for n in range(6)]
+    return [p.value for p in parts], [p.error for p in parts]
 
 
 def em_coefficients(moments: GeometricMoments,
@@ -216,10 +175,7 @@ def a3_local(moments: GeometricMoments) -> Measurement:
     (1/64)(4 pi)^-1 * integral(3 (tr L)^2 - 4 det L); dimensionless and
     scale invariant.
     """
-    pre = 1.0 / (64.0 * 4.0 * math.pi)
-    val = pre * (3.0 * moments.trL2.value - 4.0 * moments.detL.value)
-    err = pre * (3.0 * moments.trL2.error + 4.0 * moments.detL.error)
-    return Measurement(val, err)
+    return _combine(moments, em_exact()[3])
 
 
 def a3_local_kappa_variant(moments: GeometricMoments) -> Measurement:
@@ -232,9 +188,7 @@ def a3_local_kappa_variant(moments: GeometricMoments) -> Measurement:
     only -- never substituted into downstream results.
     """
     # 3/4 (k1^2 + k2^2) - k1 k2 = 3/4 (tr L)^2 - 5/2 det L
-    val = (0.75 * moments.trL2.value - 2.5 * moments.detL.value) / 64.0
-    err = (0.75 * moments.trL2.error + 2.5 * moments.detL.error) / 64.0
-    return Measurement(val, err)
+    return _combine(moments, {"trL2": 0.75 / 64, "detL": -2.5 / 64})
 
 
 @dataclass(frozen=True)

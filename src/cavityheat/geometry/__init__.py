@@ -5,7 +5,7 @@ from .curvature import CurvatureSample, curvature_at, curvature_grid, lap_trL_gr
 from .models import SurfaceModel, TopologyInfo, ellipsoid, sphere, torus
 from .quadrature import (
     EvaluationError,
-    IntegralResult,
+    Measurement,
     OrientationError,
     QuadratureSpec,
     enclosed_volume,
@@ -28,7 +28,7 @@ __all__ = [
     "ellipsoid",
     "torus",
     "EvaluationError",
-    "IntegralResult",
+    "Measurement",
     "OrientationError",
     "QuadratureSpec",
     "enclosed_volume",

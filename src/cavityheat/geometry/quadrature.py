@@ -3,10 +3,13 @@
 Non-periodic chart directions use Gauss-Legendre nodes (always interior,
 so boundary coordinate singularities are never touched); periodic
 directions use the uniform trapezoid rule, which is spectrally accurate
-for smooth periodic integrands.  Every integral is evaluated at the
-requested node counts and once more on a refined grid; the difference is
-reported as the error estimate.  Reductions use numpy's fixed-order
-pairwise summation, so results are reproducible for a given spec.
+for smooth periodic integrands.  One two-level integrator,
+:func:`integrate`, serves every surface integral of the package: it sums
+each integrand at ``QuadratureSpec(order)`` and once more at twice the
+order, and returns a :class:`Measurement` of the refined sum with the
+gap between the two as its error estimate.  Reductions use numpy's
+fixed-order pairwise summation, so results are reproducible for a given
+spec.
 
 The Gauss-Legendre rule is computed here: Newton's method on the
 three-term Legendre recurrence from Tricomi's initial guesses (Hale &
@@ -20,7 +23,7 @@ the weights sum to 2 within a few ulp.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,8 @@ from .models import SurfaceModel
 
 __all__ = [
     "QuadratureSpec",
-    "IntegralResult",
+    "Measurement",
+    "integrate",
     "EvaluationError",
     "OrientationError",
     "surface_integral",
@@ -71,27 +75,23 @@ def gauss_legendre(n):
 class QuadratureSpec:
     """Node counts for tensor-product surface quadrature.
 
-    ``order`` Gauss-Legendre points per non-periodic direction;
-    ``periodic_factor * order`` uniform points per periodic direction;
-    ``refine`` multiplies the counts for the error-estimate pass.
+    ``order`` Gauss-Legendre points per non-periodic direction and
+    ``2 * order`` uniform points per periodic direction; the
+    error-estimate level is :meth:`refined`, at twice the order.
     """
 
     order: int = 32
-    periodic_factor: int = 2
-    refine: int = 2
 
     def __post_init__(self):
         if self.order < 4:
             raise ValueError("quadrature order must be >= 4")
-        if self.refine < 2:
-            raise ValueError("refinement factor must be >= 2")
 
     def refined(self):
-        return replace(self, order=self.order * self.refine)
+        return QuadratureSpec(order=2 * self.order)
 
     def nodes_1d(self, lo, hi, periodic):
         if periodic:
-            n = self.periodic_factor * self.order
+            n = 2 * self.order
             h = (hi - lo) / n
             return lo + h * np.arange(n), np.full(n, h)
         x, w = gauss_legendre(self.order)
@@ -111,47 +111,67 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class IntegralResult:
-    value: float      # refined-grid value
-    error: float      # |refined - coarse|
-    coarse: float
-    fine: float
+class Measurement:
+    """A value with its error estimate."""
+
+    value: float
+    error: float
 
     def __float__(self):
         return self.value
 
-
-def _chart_sum(chart, field, spec, jacobian=True):
-    U, V, W = spec.grid(chart)
-    vals = field(chart, U, V)
-    if not np.all(np.isfinite(vals)):
-        k = np.unravel_index(int(np.argmin(np.isfinite(vals))), np.shape(vals))
-        U, V = np.broadcast_arrays(U, V)
-        raise EvaluationError(
-            f"non-finite integrand on chart {chart.name!r} at "
-            f"(u, v) = ({U[k]:.6g}, {V[k]:.6g})"
-        )
-    if jacobian:
-        vals = vals * curvature_grid(chart, U, V)["w"]
-    return float(np.sum(W * vals))
+    def scaled(self, factor):
+        return Measurement(self.value * factor, self.error * abs(factor))
 
 
-def _two_level(model, field, quad, jacobian=True):
-    coarse = sum(_chart_sum(c, field, quad, jacobian) for c in model.charts)
-    fine = sum(_chart_sum(c, field, quad.refined(), jacobian) for c in model.charts)
-    return IntegralResult(value=fine, error=abs(fine - coarse), coarse=coarse, fine=fine)
+def _sums(model, fields, spec):
+    """Per-integrand sums of W * w * f over every chart at one level."""
+    totals = {}
+    for chart in model.charts:
+        U, V, W = spec.grid(chart)
+        w, integrands = fields(chart, U, V)
+        for name, vals in integrands.items():
+            if not np.all(np.isfinite(vals)):
+                k = np.unravel_index(int(np.argmin(np.isfinite(vals))),
+                                     np.shape(vals))
+                U, V = np.broadcast_arrays(U, V)
+                raise EvaluationError(
+                    f"non-finite integrand on chart {chart.name!r} at "
+                    f"(u, v) = ({U[k]:.6g}, {V[k]:.6g})"
+                )
+            totals[name] = totals.get(name, 0.0) + float(np.sum(W * w * vals))
+    return totals
 
 
-def surface_integral(model: SurfaceModel, field, quad: QuadratureSpec) -> IntegralResult:
+def integrate(model: SurfaceModel, fields, quad: QuadratureSpec):
+    """Two-level surface integrals of several integrands at once.
+
+    ``fields(chart, U, V)`` returns the area element ``w`` and a dict of
+    named integrands on the node arrays.  Each name maps to a
+    :class:`Measurement` of the sum at ``quad.refined()``, with the gap
+    to the sum at ``quad`` as its error.  Each level is summed in a call
+    of its own, so its arrays are freed before the next level is
+    evaluated.
+    """
+    coarse = _sums(model, fields, quad)
+    fine = _sums(model, fields, quad.refined())
+    return {k: Measurement(v, abs(v - coarse[k])) for k, v in fine.items()}
+
+
+def surface_integral(model: SurfaceModel, field, quad: QuadratureSpec) -> Measurement:
     """Integrate a scalar field over the whole boundary surface.
 
     ``field(chart, U, V)`` must return the integrand values on the node
     arrays; the induced area element is supplied by the quadrature.
     """
-    return _two_level(model, field, quad, jacobian=True)
+
+    def fields(chart, U, V):
+        return curvature_grid(chart, U, V)["w"], {"f": field(chart, U, V)}
+
+    return integrate(model, fields, quad)["f"]
 
 
-def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> IntegralResult:
+def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
     """Volume of the solid bounded by the model, via the divergence theorem.
 
     |Omega| = -(1/3) * integral of x . n over the boundary with inward
@@ -162,7 +182,7 @@ def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> IntegralResult
         g = curvature_grid(chart, U, V)
         return -(1.0 / 3.0) * np.einsum("i...,i...->...", g["r"], g["n"])
 
-    res = _two_level(model, field, quad, jacobian=True)
+    res = surface_integral(model, field, quad)
     if res.value <= 0:
         raise OrientationError(
             f"model {model.name!r}: signed volume {res.value:.6g} <= 0; "
@@ -171,17 +191,17 @@ def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> IntegralResult
     return res
 
 
-def grad_trL_sq_integral(model: SurfaceModel, quad: QuadratureSpec) -> IntegralResult:
+def grad_trL_sq_integral(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
     """Integral of |grad tr L|^2 over the boundary (third-order derivatives)."""
 
     def field(chart, U, V):
         return curvature_grid(chart, U, V, need_grad=True)["grad_trL_sq"]
 
-    return _two_level(model, field, quad, jacobian=True)
+    return surface_integral(model, field, quad)
 
 
 def trL_lap_trL_integral(model: SurfaceModel,
-                         quad: QuadratureSpec) -> IntegralResult:
+                         quad: QuadratureSpec) -> Measurement:
     """Integral of tr L * lap(tr L), with the pointwise Laplace-Beltrami.
 
     Independent of :func:`grad_trL_sq_integral`; on a closed surface the
@@ -190,7 +210,6 @@ def trL_lap_trL_integral(model: SurfaceModel,
     """
 
     def field(chart, U, V):
-        trL = curvature_grid(chart, U, V)["trL"]
-        return trL * lap_trL_grid(chart, U, V)
+        return curvature_grid(chart, U, V)["trL"] * lap_trL_grid(chart, U, V)
 
-    return _two_level(model, field, quad, jacobian=True)
+    return surface_integral(model, field, quad)

@@ -158,11 +158,12 @@ def test_criterion_4_gauss_bonnet():
         def det_L(chart, U, V):
             return curvature_grid(chart, U, V)["detL"]
 
-        q64 = QuadratureSpec(order=64)
+        # the refined level of an order-32 integral is the order-64 rule
+        q32 = QuadratureSpec(order=32)
         for model, want in ((sphere(1.0), 4 * math.pi),
                             (ellipsoid(1.0, 1.3, 1.7), 4 * math.pi),
                             (torus(2.0, 0.5), 0.0)):
-            got = surface_integral(model, det_L, q64).coarse
+            got = surface_integral(model, det_L, q32).value
             assert abs(got - want) < 1e-8, (model.name, got)
 
 

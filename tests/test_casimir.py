@@ -14,6 +14,7 @@ import pytest
 import cavityheat
 import cavityheat.casimir as casimir
 from cavityheat import QuadratureSpec, TopologyInfo, sphere, torus
+from cavityheat.asymptotics import IllPosedFitError
 from cavityheat.casimir import (
     RegulatorKind,
     SCAN_BASIS,
@@ -274,6 +275,29 @@ class TestRemainderScan:
         calls.clear()
         remainder_scan(modes, pred.without("g_m1"), gammas)
         assert len(calls) == len(gammas)    # the floor is already known
+
+    @pytest.mark.parametrize("planted", [ValueError, IllPosedFitError])
+    def test_next_order_fit_drops_only_ill_posed_extensions(
+            self, em60, ball_coeffs, monkeypatch, planted):
+        fit = casimir.weighted_power_fit
+        base = []
+
+        def extension_fails(design, b, sigma):
+            if np.shape(design)[1] == len(SCAN_BASIS) + 2:
+                base.append(np.array(sigma))
+                raise planted("planted")
+            return fit(design, b, sigma)
+
+        monkeypatch.setattr(casimir, "weighted_power_fit", extension_fails)
+        pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)
+        gammas = np.geomspace(1e-3, 5e-2, 40)
+        if planted is ValueError:
+            with pytest.raises(ValueError, match="planted"):
+                remainder_scan(em60, pred, gammas)
+        else:
+            scan = remainder_scan(em60, pred, gammas)
+            assert len(base) == 1
+            assert np.array_equal(scan.sigmas, base[0])
 
     def test_report_serialisable(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)

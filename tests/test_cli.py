@@ -252,6 +252,7 @@ def small_run(tmp_path_factory):
     (("trace", "--modes", "{modes}", "--t-points", "0"), "--t-points"),
     (("verify", "--identity-tol", "nan"), "--identity-tol"),
     (("verify", "--points", "-1"), "--points"),
+    (("verify", "--seed", "-1"), "--seed"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
       "--z-threshold", "nan"), "--z-threshold"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
@@ -262,8 +263,9 @@ def small_run(tmp_path_factory):
      "--axes"),
     (("fit", "--trace", "{trace}", "--t-lo", "10"), "window"),
 ], ids=["trace-t-lo-nan", "trace-t-points-0", "verify-identity-tol-nan",
-        "verify-points-negative", "casimir-z-threshold-nan",
-        "casimir-gamma-hi-nan", "modes-radius-negative",
+        "verify-points-negative", "verify-seed-negative",
+        "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
+        "modes-radius-negative",
         "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window"])
 def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
                                     names):

@@ -9,12 +9,15 @@ with tr L = 2, det L = 1, area 4 pi, volume 4 pi / 3, genus 0:
 """
 
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavityheat.coefficients as coefficients
 from cavityheat.coefficients import (
     GeometricMoments,
     Measurement,
@@ -26,7 +29,15 @@ from cavityheat.coefficients import (
     form_coefficients,
     gauss_bonnet_residual,
 )
-from cavityheat.geometry import QuadratureSpec, TopologyInfo, ellipsoid, sphere, torus
+from cavityheat.geometry import (
+    EvaluationError,
+    QuadratureSpec,
+    TopologyInfo,
+    ellipsoid,
+    sphere,
+    torus,
+)
+from cavityheat.tables import em_topology_term
 
 SQPI = math.sqrt(math.pi)
 BALL_EM = (1 / (3 * SQPI), 0.0, -4 / (3 * SQPI), 5 / 8, -16 / (315 * SQPI), 1 / 320)
@@ -74,6 +85,27 @@ class TestMoments:
 
     def test_torus_gauss_bonnet(self, torus_moments):
         assert abs(torus_moments.detL.value) < 1e-12
+
+    @pytest.mark.parametrize("model", [sphere(1.0), ellipsoid(1.0, 1.3, 1.7),
+                                       torus(2.0, 0.5)],
+                             ids=["sphere", "ellipsoid", "torus"])
+    def test_non_finite_moment_integrand_names_chart_and_node(
+            self, model, monkeypatch):
+        grid = coefficients.curvature_grid
+
+        def nan_at_one_node(chart, U, V, need_grad=False):
+            g = dict(grid(chart, U, V, need_grad=need_grad))
+            g["trL"] = np.array(g["trL"])
+            g["trL"][1, 2] = np.nan
+            return g
+
+        monkeypatch.setattr(coefficients, "curvature_grid", nan_at_one_node)
+        chart = model.charts[0]
+        U, V, _ = Q16.grid(chart)
+        node = f"(u, v) = ({U[1, 0]:.6g}, {V[0, 2]:.6g})"
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"{chart.name!r} at {node}")):
+            compute_moments(model, Q16)
 
 
 class TestEmCoefficients:
@@ -167,6 +199,19 @@ class TestA3Local:
     def test_balanced_integrand_gives_zero(self):
         m = synthetic_moments(trL2=4.0, detL=3.0)
         assert a3_local(m).value == pytest.approx(0.0, abs=1e-18)
+
+    @pytest.mark.parametrize("order", [8, 16, 32, 64])
+    @pytest.mark.parametrize("model", [sphere(3.0), ellipsoid(1.0, 1.0, 2.0),
+                                       torus(2.0, 0.5)],
+                             ids=["sphere-3", "ellipsoid-112", "torus"])
+    def test_em_a3_is_local_part_plus_topology_term(self, model, order):
+        # both read the a_3 constants of the table, in the same order
+        m = compute_moments(model, QuadratureSpec(order=order))
+        topo = model.topology
+        em = em_coefficients(m, topo)
+        local = a3_local(m)
+        assert em.values[3] == local.value + float(em_topology_term(topo))
+        assert em.errors[3] == local.error
 
     def test_kappa_variant_differs_and_is_flagged_value(self, ball_moments):
         v = a3_local_kappa_variant(ball_moments)
