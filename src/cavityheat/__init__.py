@@ -33,8 +33,7 @@ _SUBMODULES = {
         "em_modes", "form_modes", "heat_trace", "heat_trace_samples",
         "min_usable_t", "neumann_modes", "resolvent2_expansion",
         "resolvent2_trace"),
-    "asymptotics": (
-        "FitConfig", "FitResult", "fit_coefficients", "suggest_window"),
+    "asymptotics": ("FitConfig", "FitResult", "fit_coefficients"),
     "casimir": (
         "DivergencePrediction", "ModeCountReport", "PhiExpansion",
         "RegulatorKind", "RemainderScan", "detection_z",

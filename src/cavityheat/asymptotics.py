@@ -25,7 +25,6 @@ __all__ = [
     "IllPosedFitError",
     "fit_coefficients",
     "weighted_power_fit",
-    "suggest_window",
 ]
 
 HALF_POWERS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0)
@@ -192,11 +191,3 @@ def _as_columns(samples):
     rows = np.asarray(list(samples), dtype=float)
     return rows[:, 0], rows[:, 1], rows[:, 2]
 
-
-def suggest_window(modes, rtol=1e-10, t_hi=0.1):
-    """Fit window tied to the truncation model: t_lo where the heat-trace
-    truncation bound crosses rtol * K(t), t_hi where next-order terms
-    start to pollute."""
-    from .spectrum import min_usable_t
-
-    return min_usable_t(modes, rtol), t_hi

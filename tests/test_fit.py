@@ -7,7 +7,6 @@ from cavityheat.asymptotics import (
     FitConfig,
     IllPosedFitError,
     fit_coefficients,
-    suggest_window,
 )
 
 TRUE = {-1.5: 0.188, -1.0: 0.0, -0.5: -0.752, 0.0: 0.625, 0.5: -0.0287,
@@ -123,11 +122,10 @@ class TestErrorBars:
                             "condition_number", "window"}
 
 
-def test_suggest_window_ties_to_truncation_model():
-    from cavityheat.spectrum import em_modes, heat_trace
+def test_min_usable_t_ties_window_to_truncation_model():
+    from cavityheat.spectrum import em_modes, heat_trace, min_usable_t
 
     modes = em_modes(30.0)
-    t_lo, t_hi = suggest_window(modes, rtol=1e-10)
-    assert t_hi == 0.1
+    t_lo = min_usable_t(modes, rtol=1e-10)
     K, bound = heat_trace(modes, 1.01 * t_lo, rtol=1e-9)
     assert bound <= 1e-9 * K

@@ -7,6 +7,8 @@ Frozen 30-digit root references (mpmath, sqrt(pi/2x) J_(l+1/2)):
     first zero of (x j_1)'       2.74370726999226938256112208112
 """
 
+import csv
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -295,6 +297,35 @@ class TestResolvent:
             assert abs(r.value - model) < budget, (mu, r.value - model, budget)
 
 
+HEADER = "family,l,m,multiplicity,lambda\n"
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def dict_reader_modes(path):
+    """A mode CSV parsed row by row through csv.DictReader: the reader
+    that ModeList.from_csv must accept and reject like."""
+    rows = {"family": [], "l": [], "m": [], "multiplicity": [], "lam": []}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        for column in ("family", "l", "m", "multiplicity", "lambda"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path.name} has no {column!r} column")
+        for rec in reader:
+            rows["family"].append(rec["family"])
+            rows["l"].append(int(rec["l"]))
+            rows["m"].append(int(rec["m"]))
+            rows["multiplicity"].append(int(rec["multiplicity"]))
+            rows["lam"].append(float(rec["lambda"]))
+    return ModeList(
+        family=np.array(rows["family"]), l=np.array(rows["l"]),
+        m=np.array(rows["m"]), multiplicity=np.array(rows["multiplicity"]),
+        lam=np.array(rows["lam"]), radius=1.0, omega_max=30.0)
+
+
 class TestModeListPlumbing:
     def test_csv_roundtrip(self, tmp_path, em30):
         path = tmp_path / "modes.csv"
@@ -345,7 +376,78 @@ class TestModeListPlumbing:
         path = tmp_path / "modes.csv"
         em30.to_csv(path)
         (tmp_path / "modes.csv.meta.json").unlink()
-        with pytest.raises(FileNotFoundError, match="sidecar"):
+        with pytest.raises(FileNotFoundError,
+                           match="^missing sidecar modes.csv.meta.json;"):
+            ModeList.from_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(HEADER + "TE,1,1,3,20.19\nTM,1,1,3,7.52\n", id="plain"),
+        pytest.param(HEADER + "\nTE,1,1,3,20.19\n\n\nTM,1,1,3,7.5\n\n",
+                     id="blank-lines"),
+        pytest.param(HEADER + "TE,1,1,3,20.19,extra,fields\n",
+                     id="extra-fields"),
+        pytest.param("family,l,m,multiplicity,lambda,note\n"
+                     "TE,1,1,3,20.19\nTM,2,1,5,2e1,x\n",
+                     id="short-optional-column"),
+        pytest.param("lambda,multiplicity,m,l,family\n20.19,3,1,1,TE\n",
+                     id="reordered"),
+        pytest.param("family,l,m,multiplicity,lambda,l\nTE,9,1,3,20.19,1\n",
+                     id="repeated-column"),
+        pytest.param('"family","l","m","multiplicity","lambda"\n'
+                     '"TE"," 1","+1","3"," 20.19 "\n', id="quoted-and-padded"),
+        pytest.param(HEADER.replace("\n", "\r\n") + "TE,1,1,3,20.19\r\n",
+                     id="crlf"),
+        pytest.param(HEADER + "TE,1,1,3\n", id="short-row"),
+        pytest.param("l,m,multiplicity,lambda,family\n1,1,3,20.19\n",
+                     id="short-row-family-last"),
+        pytest.param(HEADER + "TE,1.5,1,3,20.19\n", id="fractional-l"),
+        pytest.param(HEADER + "TE,1,1,3,\n", id="empty-lambda"),
+        pytest.param(HEADER + "TE,1,1,3,20.19\n \n", id="whitespace-line"),
+        pytest.param(HEADER + "XX,1,1,3,20.19\n", id="unknown-family"),
+        pytest.param(HEADER + "TE,1,1,3,nan\n", id="nan-lambda"),
+        pytest.param(HEADER + "TE,1,1,0,20.19\n", id="zero-multiplicity"),
+        pytest.param(HEADER, id="header-only"),
+        pytest.param("family,l,multiplicity,lambda\nTE,1,3,20.19\n",
+                     id="missing-column"),
+        pytest.param("\n" + HEADER + "TE,1,1,3,20.19\n",
+                     id="blank-first-line"),
+        pytest.param("", id="empty-file"),
+        # the reader converts 256 rows at a time
+        pytest.param(HEADER + "TE,1,1,3,20.19\n\n" * 300
+                     + "TM,2,1,5,7.5\n" * 300, id="many-blocks"),
+        pytest.param(HEADER + "\n" * 300 + "TE,1,1,3,20.19\n",
+                     id="blank-block"),
+        pytest.param(HEADER + "TE,1,1,3,20.19\n" * 600 + "TE,1,1,3\n",
+                     id="short-row-in-a-later-block"),
+    ])
+    def test_csv_reader_accepts_and_rejects_as_a_dict_reader(self, tmp_path,
+                                                             text):
+        path = tmp_path / "modes.csv"
+        path.write_text(text, newline="")
+        (tmp_path / "modes.csv.meta.json").write_text(
+            json.dumps({"radius": 1.0, "omega_max": 30.0}))
+        try:
+            want = dict_reader_modes(path)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                ModeList.from_csv(path)
+            if "column" in str(err):
+                assert str(got.value) == str(err)
+            return
+        got = ModeList.from_csv(path)
+        for name in ("family", "l", "m", "multiplicity", "lam"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("meta, match", [
+        ({"omega_max": 30.0}, "modes.csv.meta.json has no 'radius' key"),
+        ({"radius": 1.0, "omega_max": None},
+         "modes.csv.meta.json must map 'radius' and 'omega_max' to numbers"),
+    ])
+    def test_bad_sidecar_rejected(self, tmp_path, em30, meta, match):
+        path = tmp_path / "modes.csv"
+        em30.to_csv(path)
+        (tmp_path / "modes.csv.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{match}$"):
             ModeList.from_csv(path)
 
     def test_deterministic_ordering(self, em30):
@@ -549,10 +651,75 @@ class TestZeroLadder:
             em_modes(150.0)
 
 
+def envelope_error(contract, n_samples=60, seed=20240901, dps=30):
+    """Worst error of the contract's j_l and j_l' against 30-digit
+    references (mpmath, sqrt(pi/2x) J_(l+1/2)) over a seeded sample grid,
+    relative to the local envelope max(|j_l|, |j_l'|)."""
+    import mpmath as mp
+
+    def ref(l, x):
+        xm = mp.mpf(x)
+        j = mp.sqrt(mp.pi / (2 * xm)) * mp.besselj(l + mp.mpf(1) / 2, xm)
+        if l == 0:
+            xj = mp.sqrt(mp.pi / (2 * xm)) * mp.besselj(mp.mpf(3) / 2, xm)
+            return j, -xj
+        jm = mp.sqrt(mp.pi / (2 * xm)) * mp.besselj(l - mp.mpf(1) / 2, xm)
+        return j, jm - (l + 1) / xm * j
+
+    rng = np.random.default_rng(seed)
+    cases = [(contract.l_max, contract.x_max), (120, 200.0), (0, 1e-2)]
+    for _ in range(n_samples):
+        l = int(rng.integers(0, contract.l_max + 1))
+        x = float(rng.uniform(max(0.3, 0.45 * l), contract.x_max))
+        cases.append((l, x))
+    worst = 0.0
+    with mp.workdps(dps):
+        for l, x in cases:
+            rj, rjp = ref(l, x)
+            scale = float(max(abs(rj), abs(rjp)))
+            err = max(abs(contract.jl(l, x) - float(rj)),
+                      abs(contract.jl_prime(l, x) - float(rjp))) / scale
+            worst = max(worst, err)
+    return worst
+
+
 class TestBesselContract:
     def test_envelope_accuracy(self):
-        worst = BESSEL.verify(n_samples=25, seed=11)
+        worst = envelope_error(BESSEL, n_samples=25, seed=11)
         assert worst < BESSEL.rtol
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_kernels_equal_the_public_scipy_function(self, derivative):
+        # seeded sample of the certified domain, its corners included
+        rng = np.random.default_rng(20261018)
+        l = np.r_[0, 0, BESSEL.l_max, BESSEL.l_max,
+                  rng.integers(0, BESSEL.l_max + 1, 20000)]
+        x = np.r_[1e-3, BESSEL.x_max, 1e-3, BESSEL.x_max,
+                  rng.uniform(0.0, BESSEL.x_max, 20000)]
+        x[-100:] = BESSEL.x_max - rng.uniform(0.0, 1.0, 100)
+        assert same_bits(spectrum.spherical_jn(l, x, derivative),
+                         spherical_jn(l, x, derivative))
+        for order in (0, 1, 37, BESSEL.l_max):     # scalar l
+            assert same_bits(spectrum.spherical_jn(order, x[:500], derivative),
+                             spherical_jn(order, x[:500], derivative))
+            assert same_bits(spectrum.spherical_jn(order, 639.75, derivative),
+                             spherical_jn(order, 639.75, derivative))
+
+    @pytest.mark.parametrize("omega_max", [20.0, 55.5, 100.0])
+    def test_enumeration_equals_the_public_scipy_function(self, monkeypatch,
+                                                          omega_max):
+        def three_lists():
+            spectrum._zero_ladder.cache_clear()
+            return [enumerate_modes(omega_max) for enumerate_modes in
+                    (em_modes, dirichlet_modes, neumann_modes)]
+
+        direct = three_lists()
+        monkeypatch.setattr(spectrum, "spherical_jn", spherical_jn)
+        public = three_lists()
+        spectrum._zero_ladder.cache_clear()
+        for got, want in zip(direct, public):
+            for name in ("family", "l", "m", "multiplicity", "lam"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_domain_constants(self):
         assert BESSEL.x_max >= 210.0
