@@ -19,21 +19,22 @@ bracket that provably contains exactly one sign change.  The
 enumerations of the derivative families use the same interlacing plus
 the turning point sqrt(l(l+1)), below which j_l is strictly increasing.
 
-One zero ladder serves every family of a cutoff x_max = omega_max * R:
-the zeros of j_0..j_l_max, trimmed to what the interlacing chain needs
-(each order's zeros at or below x_max plus at least one more).  Its
-levels are bracketed one after another but refined only coarsely; one
-batched solve then finishes all of them, as one solve finishes each
-derivative family over every l.  Vectorised Illinois (false-position)
-steps shrink each bracket to a few ulp, and bisection finishes it down
-to the two adjacent floats that carry the sign change.  Every step keeps
-the sign change, so no root can be skipped, and each root is the one
-plain bisection of its bracket ends on, to the last bit.  Every x the
-enumerator evaluates is at most (int(x_max) + 3) pi, inside the domain
-BESSEL certifies for cutoffs up to 200, and at least pi or the turning
-point.  So spherical_jn calls scipy's compiled kernels directly: the
-public scipy.special.spherical_jn adds only the reflection to x < 0
-around them, and its values at x > 0 are the same to the last bit.
+One ball spectrum per process serves every family, radius and cutoff
+x_max = omega_max * R up to the deepest asked so far: the zeros of
+j_0..j_l_max, trimmed to each order's zeros at or below x_max plus at
+least one more, and each derivative family's roots, solved when first
+asked for.  A shallower cutoff takes prefixes; R only rescales roots.
+Ladder levels are bracketed one after another but refined coarsely; one
+batched solve finishes them, as one solve finishes each derivative
+family.  Vectorised Illinois (false-position) steps shrink each bracket
+to a few ulp, and bisection ends it on the two adjacent floats that
+carry the sign change, as plain bisection does: no root is skipped and
+none depends on another bracket, so a prefix equals a cold solve.  Every
+x evaluated lies in [pi or the turning point, (int(x_max) + 3) pi],
+inside the domain BESSEL certifies for cutoffs up to 200.  So
+spherical_jn calls scipy's compiled kernels directly: the public
+scipy.special.spherical_jn adds only the reflection to x < 0 around
+them, and its values at x > 0 are the same to the last bit.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -229,22 +230,39 @@ def _false_position(f, l, lo, hi, flo, fhi, width=0.0):
     lo[idx], hi[idx], flo[idx] = a, b, fa
 
 
-@lru_cache(maxsize=1)
+# The deepest ball spectrum solved so far in the process: "x_max", its zero
+# "ladder" and, once asked for, each derivative family's (l, roots) by name.
+_BALL = {}
+
+
 def _zero_ladder(x_max):
     """zeros[l] = the first l_max + 2 - l positive zeros of j_l, for
-    l = 0..l_max = int(x_max) + 1, as read-only arrays; kept for the last
-    x_max.  Enough, since j_(l+1/2,1) > l + 1/2 and the zero spacing
+    l = 0..l_max = int(x_max) + 1, as read-only prefixes of the memo's
+    ladder.  Enough, since j_(l+1/2,1) > l + 1/2 and the zero spacing
     exceeds pi, so j_l has at most l_max + 1 - l zeros at or below x_max.
-    No x evaluated exceeds the last level-0 zero (exact, m pi), which must
-    lie inside the verified Bessel domain.
+    Every call checks each level's reach and that the last level-0 zero
+    (exact, m pi), the largest x evaluated, is in the verified domain.
     """
     l_max = int(x_max) + 1
-    level0 = np.arange(1, l_max + 3) * math.pi
-    if level0[-1] > BESSEL.x_max or l_max > BESSEL.l_max:
+    if (l_max + 2) * math.pi > BESSEL.x_max or l_max > BESSEL.l_max:
         raise ValueError(
             f"zero ladder for x_max = {x_max:g} leaves the verified Bessel "
             f"domain (x <= {BESSEL.x_max:g}, l <= {BESSEL.l_max})")
-    return _climb(level0, l_max, x_max)
+    if x_max > _BALL.get("x_max", -math.inf):
+        ladder = _climb(np.arange(1, l_max + 3) * math.pi, l_max, x_max)
+        _BALL.clear()
+        _BALL.update(x_max=x_max, ladder=ladder)
+    zeros = tuple(z[:l_max + 2 - l]
+                  for l, z in enumerate(_BALL["ladder"][:l_max + 1]))
+    _check_reach(zeros, x_max)
+    return zeros
+
+
+def _check_reach(zeros, x_max):
+    for l, z in enumerate(zeros):
+        if not (len(z) and z[-1] > x_max):
+            raise BracketError(
+                f"zero ladder level {l} ends at or below x_max = {x_max:g}")
 
 
 def _climb(level0, l_max, x_max):
@@ -268,31 +286,35 @@ def _climb(level0, l_max, x_max):
     roots = _bisect_brackets(BESSEL.jl, np.concatenate(ls),
                              np.concatenate(los), np.concatenate(his))
     zeros = (level0, *np.split(roots, np.cumsum([len(lo) for lo in los])[:-1]))
-    for l, z in enumerate(zeros):
-        if not np.any(z > x_max):
-            raise BracketError(
-                f"zero ladder level {l} ends at or below x_max = {x_max:g}")
+    _check_reach(zeros, x_max)
+    for z in zeros:
         z.setflags(write=False)
     return zeros
 
 
-def _derivative_family_roots(ladder, x_max, f):
-    """(l, root) of f(l, .) (= j_l' or (x j_l)') below x_max, all l >= 1.
+def _derivative_family_roots(f, x_max):
+    """(l, root) of f(l, .) (= j_l' or (x j_l)') below x_max, all l >= 1;
+    _zero_ladder(x_max) must have run.
 
     Per l, one root sits between the turning point sqrt(l(l+1)) and the
     first zero of j_l; after that, exactly one root between consecutive
-    zeros.  All brackets of all orders are solved in one call.
+    zeros.  The first time f is asked for, all brackets of all orders up
+    to the memo's cutoff are solved in one call; later calls cut them.
     """
-    ls, los, his = [], [], []
-    for l in range(1, len(ladder)):
-        zl = ladder[l]
-        lo = np.concatenate([[math.sqrt(l * (l + 1.0))], zl[:-1]])
-        keep = lo <= x_max
-        ls.append(np.full(np.count_nonzero(keep), l))
-        los.append(lo[keep])
-        his.append(zl[keep])
-    l = np.concatenate(ls)
-    roots = _bisect_brackets(f, l, np.concatenate(los), np.concatenate(his))
+    if f.__name__ not in _BALL:
+        ladder, top = _BALL["ladder"], _BALL["x_max"]
+        ls, los, his = [], [], []
+        for l in range(1, len(ladder)):
+            zl = ladder[l]
+            lo = np.concatenate([[math.sqrt(l * (l + 1.0))], zl[:-1]])
+            keep = lo <= top
+            ls.append(np.full(np.count_nonzero(keep), l))
+            los.append(lo[keep])
+            his.append(zl[keep])
+        l = np.concatenate(ls)
+        _BALL[f.__name__] = l, _bisect_brackets(
+            f, l, np.concatenate(los), np.concatenate(his))
+    l, roots = _BALL[f.__name__]
     keep = roots <= x_max
     return l[keep], roots[keep]
 
@@ -315,7 +337,7 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _enumerate(families, omega_max, radius):
+def _enumerate(families, omega_max, radius, note):
     _require_positive("omega_max", omega_max)
     _require_positive("radius", radius)
     x_max = omega_max * radius
@@ -323,8 +345,7 @@ def _enumerate(families, omega_max, radius):
         raise ValueError(
             f"omega_max * radius = {x_max:g} exceeds the cutoff limit of "
             "the verified Bessel domain (<= 200)")
-    ladder = _zero_ladder(x_max)
-    below = [z[z <= x_max] for z in ladder]
+    below = [z[z <= x_max] for z in _zero_ladder(x_max)]
     l_zero = np.concatenate([np.full(len(z), l) for l, z in enumerate(below)])
     zeros = np.concatenate(below)
     parts = []
@@ -335,14 +356,14 @@ def _enumerate(families, omega_max, radius):
     if "NEUMANN" in families:
         # j_0' = -j_1: the flux-free l = 0 roots are the zeros of j_1; the
         # constant (x = 0) mode is excluded
-        l, roots = _derivative_family_roots(ladder, x_max, BESSEL.jl_prime)
+        l, roots = _derivative_family_roots(BESSEL.jl_prime, x_max)
         parts.append(_rows("NEUMANN", np.r_[np.zeros(len(below[1]), int), l],
                            np.r_[below[1], roots], radius))
     if "TM" in families:
-        l, roots = _derivative_family_roots(ladder, x_max, BESSEL.riccati_prime)
+        l, roots = _derivative_family_roots(BESSEL.riccati_prime, x_max)
         parts.append(_rows("TM", l, roots, radius))
     cols = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    return ModeList(radius=radius, omega_max=omega_max, **cols)
+    return ModeList(radius=radius, omega_max=omega_max, note=note, **cols)
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +562,17 @@ class ModeList:
 
 def dirichlet_modes(omega_max, radius=1.0) -> ModeList:
     """Scalar value-fixed spectrum of the ball up to omega_max."""
-    return replace(_enumerate({"DIRICHLET"}, omega_max, radius),
-                   note="dirichlet")
+    return _enumerate({"DIRICHLET"}, omega_max, radius, "dirichlet")
 
 
 def neumann_modes(omega_max, radius=1.0) -> ModeList:
     """Scalar flux-fixed spectrum; the constant zero mode is excluded."""
-    return replace(_enumerate({"NEUMANN"}, omega_max, radius), note="neumann")
+    return _enumerate({"NEUMANN"}, omega_max, radius, "neumann")
 
 
 def em_modes(omega_max, radius=1.0) -> ModeList:
     """Electromagnetic cavity spectrum: TE and TM families, each once."""
-    return replace(_enumerate({"TE", "TM"}, omega_max, radius), note="em")
+    return _enumerate({"TE", "TM"}, omega_max, radius, "em")
 
 
 def form_modes(p, omega_max, radius=1.0) -> ModeList:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
@@ -581,7 +581,7 @@ class TestRootSolver:
 
 class TestZeroLadder:
     def test_three_families_share_one_ladder(self, monkeypatch):
-        spectrum._zero_ladder.cache_clear()
+        spectrum._BALL.clear()
         solve = spectrum._bisect_brackets
         ladder_solves = []
 
@@ -591,8 +591,9 @@ class TestZeroLadder:
             return solve(f, *args)
 
         monkeypatch.setattr(spectrum, "_bisect_brackets", counted)
-        for enumerate_modes in (em_modes, dirichlet_modes, neumann_modes):
-            enumerate_modes(31.0)
+        for omega_max in (31.0, 25.0, 30.5):
+            for enumerate_modes in (em_modes, dirichlet_modes, neumann_modes):
+                enumerate_modes(omega_max)
         assert len(ladder_solves) == 1
 
     def test_levels_are_read_only(self, ladder):
@@ -625,7 +626,7 @@ class TestZeroLadder:
             spectrum._climb(level0, 31, 30.0)
 
     def test_evaluations_stay_in_the_certified_domain(self, monkeypatch):
-        spectrum._zero_ladder.cache_clear()
+        spectrum._BALL.clear()
         jn = spectrum.spherical_jn
         largest = [0.0]
 
@@ -639,16 +640,101 @@ class TestZeroLadder:
         assert 600.0 < largest[0] <= BESSEL.x_max
 
     def test_ladder_outside_the_contract_rejected(self, monkeypatch):
-        spectrum._zero_ladder.cache_clear()
+        spectrum._BALL.clear()
         monkeypatch.setattr(spectrum, "BESSEL",
                             spectrum.SphericalBesselContract(x_max=300.0))
         with pytest.raises(ValueError, match="verified Bessel domain"):
             em_modes(100.0)
-        spectrum._zero_ladder.cache_clear()
+        spectrum._BALL.clear()
         monkeypatch.setattr(spectrum, "BESSEL",
                             spectrum.SphericalBesselContract(l_max=150))
         with pytest.raises(ValueError, match="verified Bessel domain"):
             em_modes(150.0)
+
+
+ENUMERATORS = {"em": em_modes, "dirichlet": dirichlet_modes,
+               "neumann": neumann_modes, "p1": partial(form_modes, 1),
+               "p2": partial(form_modes, 2)}
+
+
+def counted_bessel(monkeypatch):
+    """Counts of spherical_jn calls and of the points they evaluate."""
+    jn = spectrum.spherical_jn
+    counts = {"calls": 0, "points": 0}
+
+    def counted(l, x, *args, **kwargs):
+        counts["calls"] += 1
+        counts["points"] += np.broadcast(l, x).size
+        return jn(l, x, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "spherical_jn", counted)
+    return counts
+
+
+class TestBallMemo:
+    """The memo of the deepest ball spectrum against cold enumerations."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(calls=st.lists(st.tuples(st.floats(4.0, 50.0), st.floats(0.8, 1.3),
+                                    st.sampled_from(sorted(ENUMERATORS))),
+                          min_size=1, max_size=4))
+    @example(calls=[(40.2, 1.0, "em"), (40.7, 1.1, "neumann"),
+                    (40.7, 0.9, "p1"), (12.5, 1.2, "p2")])
+    def test_any_call_sequence_equals_cold_builds(self, calls):
+        spectrum._BALL.clear()
+        warm = [ENUMERATORS[name](x / radius, radius)
+                for x, radius, name in calls]
+        for (x, radius, name), got in zip(calls, warm):
+            spectrum._BALL.clear()
+            want = ENUMERATORS[name](x / radius, radius)
+            for column in ("family", "l", "m", "multiplicity", "lam"):
+                assert same_bits(getattr(got, column), getattr(want, column))
+            assert (got.radius, got.omega_max, got.note) == (
+                want.radius, want.omega_max, want.note)
+
+    def test_bessel_work_only_for_a_deeper_cutoff(self, monkeypatch):
+        spectrum._BALL.clear()
+        counts = counted_bessel(monkeypatch)
+        three = (em_modes, dirichlet_modes, neumann_modes)
+        for enumerate_modes in three:
+            enumerate_modes(80.0)
+        # the cold work of one ladder and two derivative families at 80
+        assert counts == {"calls": 618, "points": 70784}
+        for omega_max in (60.0, 79.9, 80.0):
+            for enumerate_modes in three:
+                enumerate_modes(omega_max)
+        assert counts == {"calls": 618, "points": 70784}
+        em_modes(95.0)
+        assert counts["calls"] > 618
+
+    def test_domain_checked_on_every_call(self, monkeypatch):
+        em_modes(200.0)
+        monkeypatch.setattr(spectrum, "BESSEL",
+                            spectrum.SphericalBesselContract(x_max=300.0))
+        with pytest.raises(ValueError, match="verified Bessel domain"):
+            em_modes(100.0)
+
+    def test_reach_checked_on_every_call(self):
+        spectrum._BALL.clear()
+        dirichlet_modes(60.0)
+        # plant a ladder whose levels stop short of x_max = 30
+        ladder = spectrum._BALL["ladder"]
+        spectrum._BALL["ladder"] = tuple(z[z <= 30.0] for z in ladder)
+        try:
+            with pytest.raises(spectrum.BracketError, match="level 0 ends"):
+                dirichlet_modes(30.0)
+        finally:
+            spectrum._BALL.clear()
+
+    def test_prefix_levels_are_read_only(self):
+        spectrum._BALL.clear()
+        deep = spectrum._zero_ladder(60.0)
+        zeros = spectrum._zero_ladder(20.0)
+        assert len(zeros) == 22
+        for l, z in enumerate(zeros):
+            assert len(z) == 23 - l and np.shares_memory(z, deep[l])
+            with pytest.raises(ValueError, match="read-only"):
+                z[0] = 1.0
 
 
 def envelope_error(contract, n_samples=60, seed=20240901, dps=30):
@@ -709,14 +795,14 @@ class TestBesselContract:
     def test_enumeration_equals_the_public_scipy_function(self, monkeypatch,
                                                           omega_max):
         def three_lists():
-            spectrum._zero_ladder.cache_clear()
+            spectrum._BALL.clear()
             return [enumerate_modes(omega_max) for enumerate_modes in
                     (em_modes, dirichlet_modes, neumann_modes)]
 
         direct = three_lists()
         monkeypatch.setattr(spectrum, "spherical_jn", spherical_jn)
         public = three_lists()
-        spectrum._zero_ladder.cache_clear()
+        spectrum._BALL.clear()
         for got, want in zip(direct, public):
             for name in ("family", "l", "m", "multiplicity", "lam"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
