@@ -16,7 +16,8 @@ of the divergence, which is what makes the energy difference finite.
 ``remainder_scan`` verifies this numerically: it fits
 S(gamma) - prediction(gamma) against {1, g^-1/2, g^1/2 log g, g^1/2} and
 checks that the g^-1/2 component is compatible with zero, while a
-deliberately omitted prediction term is loudly detected.
+deliberately omitted prediction term is loudly detected.  Each S(gamma)
+is the correctly rounded sum of its terms (spectrum.exact_sum).
 
 Related quantities: the single regulator integrals
 int_0^delta t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
@@ -38,6 +39,7 @@ from .spectrum import (
     ModeList,
     TailCorrected,
     TAIL_DENSITY_RELERR,
+    exact_sum,
     smallest_usable,
     upper_gamma_3_2,
 )
@@ -80,7 +82,7 @@ def _regulated_parts(modes, gamma, kind):
     regulator dw with the two-term calibrated density.
     """
     w = kind.weight(gamma, modes.lam)
-    raw = math.fsum((modes.multiplicity * modes.omega * w).tolist())
+    raw = exact_sum(modes.multiplicity * modes.omega * w)
     c2, c1 = modes.density
     W = modes.omega_max
     if kind is RegulatorKind.HEAT:
@@ -98,7 +100,7 @@ def _regulated_parts(modes, gamma, kind):
 
 def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
                     rtol=0.5) -> TailCorrected:
-    """Compensated sum of multiplicity * sqrt(lambda) * regulator.
+    """Exactly rounded sum of multiplicity * sqrt(lambda) * regulator.
 
     Returns the raw partial sum together with the calibrated-density
     tail estimate and its uncertainty.  Raises CutoffTooLowError

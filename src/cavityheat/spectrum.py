@@ -35,6 +35,9 @@ inside the domain BESSEL certifies for cutoffs up to 200.  So
 spherical_jn calls scipy's compiled kernels directly: the public
 scipy.special.spherical_jn adds only the reflection to x < 0 around
 them, and its values at x > 0 are the same to the last bit.
+
+The heat and squared-resolvent traces are the correctly rounded sums of
+their terms: exact_sum gives math.fsum's double in a few array passes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -86,6 +89,9 @@ TAIL_DENSITY_RELERR = 0.04
 # orders (>= 1.017 for cutoffs up to 200), which a coarse bracket must
 # not swallow, else the next level fails its sign check.
 _COARSE_WIDTH = 1e-3
+
+# exact_sum's crossover from fsum of a list to array passes (BENCH_13.json)
+_EXACT_SUM_MIN = 1024
 
 # mode-file columns and the type each is read as
 _CSV_TYPES = {"family": str, "l": int, "m": int, "multiplicity": int,
@@ -588,13 +594,10 @@ def form_modes(p, omega_max, radius=1.0) -> ModeList:
         return dirichlet_modes(omega_max, radius)
     if p == 3:
         return neumann_modes(omega_max, radius)
-    if p == 1:
-        out = em_modes(omega_max, radius).union(dirichlet_modes(omega_max, radius))
-    elif p == 2:
-        out = em_modes(omega_max, radius).union(neumann_modes(omega_max, radius))
-    else:
+    if p not in (1, 2):
         raise ValueError("form degree must be 0..3")
-    return replace(out, note=f"p{p}")
+    scalar = "DIRICHLET" if p == 1 else "NEUMANN"
+    return _enumerate({"TE", "TM", scalar}, omega_max, radius, f"p{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +632,45 @@ def smallest_usable(modes, trace, parts, rtol, lo, hi):
     return memo[key]
 
 
+def exact_sum(terms):
+    """math.fsum(terms.tolist()) of a 1-d float64 array, bit for bit.
+
+    fsum (Shewchuk's exact summation) rounds the exact sum once.  Long
+    arrays reach that sum in a few passes, bucketing terms by exponent
+    as in Demmel and Hida's accurate summation: np.frexp writes each
+    term as t 2^(e-27), |t| < 2^27, whose integer part and 2^26 times
+    its fraction are integers summed per exponent by np.bincount, exact
+    for up to 2^25 terms as every partial sum is an integer below 2^53.
+    Runs of w adjacent buckets merge into one integer, w set by the
+    largest bucket so that these stay below 2^53, and fsum rounds the
+    sum of the few merged parts.  Arrays shorter than _EXACT_SUM_MIN,
+    or with a term not finite or big enough to overflow a partial sum,
+    go straight to fsum, as does an exact zero, whose sign fsum decides.
+    """
+    if not (_EXACT_SUM_MIN <= len(terms) <= 2 ** 25
+            and np.abs(terms).max() < 2.0 ** 960):
+        return math.fsum(terms.tolist())
+    frac, e = np.frexp(terms)
+    low = frac * 2.0 ** 27
+    high = np.trunc(low)
+    low -= high
+    e0 = int(e.min())
+    bucket = e - e0
+    high = np.bincount(bucket, high)
+    # units of 2^(e0-53), high halves 26 buckets up, 53 zeros to pad runs
+    sums = np.bincount(bucket, low, len(high) + 79) * 2.0 ** 26
+    sums[26:26 + len(high)] += high
+    w = max(53 - int(np.frexp(np.abs(sums).max())[1]), 1)
+    merged = sums[:len(sums) // w * w].reshape(-1, w) @ 2.0 ** np.arange(w)
+    total = math.fsum(
+        np.ldexp(merged, np.arange(len(merged)) * w + (e0 - 53)).tolist())
+    return total if total else math.fsum(terms.tolist())
+
+
 def _heat_parts(modes, t):
     """K(t) over the list and the integral of (c2 w^2 + c1 w) exp(-t w^2)
     above the cutoff."""
-    raw = math.fsum((modes.multiplicity * np.exp(-t * modes.lam)).tolist())
+    raw = exact_sum(modes.multiplicity * np.exp(-t * modes.lam))
     c2, c1 = modes.density
     W = modes.omega_max
     z = t * W * W
@@ -694,7 +732,7 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    raw = math.fsum((modes.multiplicity / (modes.lam + mu) ** 2).tolist())
+    raw = exact_sum(modes.multiplicity / (modes.lam + mu) ** 2)
     c2, c1 = modes.density
     W = modes.omega_max
     smu = math.sqrt(mu)

@@ -58,6 +58,12 @@ def em60():
     return em_modes(60.0)
 
 
+@pytest.fixture(scope="module")
+def em200():
+    """9,875 rows: long enough for exact_sum's bucketed path."""
+    return em_modes(200.0)
+
+
 class TestRegularizedSum:
     def test_single_mode_gamma_to_zero(self):
         s = regularized_sum(single_mode(lam=4.0), 1e-12, RegulatorKind.HEAT)
@@ -74,6 +80,30 @@ class TestRegularizedSum:
         ref = math.fsum(float(m) * om * wi for m, om, wi
                         in zip(em60.multiplicity, em60.omega, w))
         assert regularized_sum(em60, 0.02, kind).raw == ref
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_long_list_raw_matches_loop_reference(self, em200, kind, gamma):
+        w = kind.weight(gamma, em200.lam)
+        ref = math.fsum(float(m) * om * wi for m, om, wi
+                        in zip(em200.multiplicity, em200.omega, w))
+        assert regularized_sum(em200, gamma, kind).raw == ref
+
+    @pytest.mark.parametrize("kind, grid", [(RegulatorKind.HEAT, (3e-5, 1e-2)),
+                                            (RegulatorKind.SQRT, (1e-4, 1e-1))],
+                             ids=["HEAT", "SQRT"])
+    def test_long_list_scan_equals_fsum_scan(self, em200, ball_coeffs,
+                                             monkeypatch, kind, grid):
+        # a fresh copy per scan, so each searches its own usable floor
+        gammas = np.geomspace(*grid, 60)
+        pred = divergence_prediction(ball_coeffs, kind).without("g_m1")
+        scan = remainder_scan(replace(em200), pred, gammas)
+        assert scan.excluded
+        monkeypatch.setattr(casimir, "exact_sum",
+                            lambda x: math.fsum(np.asarray(x).tolist()))
+        assert remainder_scan(replace(em200), pred, gammas).as_dict() \
+            == scan.as_dict()
 
     def test_cutoff_error_carries_minimum(self, em60):
         with pytest.raises(CutoffTooLowError) as err:

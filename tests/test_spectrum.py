@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -28,6 +29,7 @@ from cavityheat.spectrum import (
     ModeList,
     dirichlet_modes,
     em_modes,
+    exact_sum,
     form_modes,
     heat_trace,
     heat_trace_samples,
@@ -51,6 +53,12 @@ def em30():
 @pytest.fixture(scope="module")
 def em60():
     return em_modes(60.0)
+
+
+@pytest.fixture(scope="module")
+def em200():
+    """9,875 rows: long enough for exact_sum's bucketed path."""
+    return em_modes(200.0)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +187,13 @@ class TestHeatTrace:
         # np.exp may differ from math.exp by an ulp per term
         assert heat_trace(em30, t)[0] == pytest.approx(ref, rel=1e-15)
 
+    @pytest.mark.parametrize("t", [6e-4, 3e-3, 0.03, 0.5, 5.0])
+    def test_long_list_matches_loop_reference(self, em200, t):
+        assert len(em200) > spectrum._EXACT_SUM_MIN
+        w = np.exp(-t * em200.lam)
+        ref = math.fsum(float(m) * wi for m, wi in zip(em200.multiplicity, w))
+        assert heat_trace(em200, t)[0] == ref
+
     def test_monotone_decreasing(self, em30):
         ts = np.geomspace(0.05, 1.0, 12)
         K = [heat_trace(em30, float(t))[0] for t in ts]
@@ -273,6 +288,12 @@ class TestResolvent:
                         for m, lam in zip(em30.multiplicity, em30.lam))
         assert resolvent2_trace(em30, mu).raw == ref
 
+    @pytest.mark.parametrize("mu", [10.0, 1e3, 1e5])
+    def test_long_list_raw_matches_loop_reference(self, em200, mu):
+        ref = math.fsum(float(m) / (lam + mu) ** 2
+                        for m, lam in zip(em200.multiplicity, em200.lam))
+        assert resolvent2_trace(em200, mu).raw == ref
+
     def test_radius_scaling(self):
         m1 = em_modes(20.0, radius=1.0)
         m2 = em_modes(10.0, radius=2.0)
@@ -295,6 +316,138 @@ class TestResolvent:
             model = resolvent2_expansion(co.values, mu)
             budget = r.tail_sigma + math.gamma(3.5) * abs(co[5]) * mu ** -3.5
             assert abs(r.value - model) < budget, (mu, r.value - model, budget)
+
+
+def fsum_outcome(x):
+    """math.fsum of the array's list: its bits, or the error it raises."""
+    try:
+        return math.fsum(x.tolist()).hex()
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+def exact_value(values):
+    """The exact sum of finite floats, in units of 2^-1074."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return total
+
+
+def exact_sum_outcome(x):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return exact_sum(x).hex()
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+@st.composite
+def sum_inputs(draw):
+    """Arrays of up to three crossover lengths: wide exponent spans, full
+    buckets, terms near overflow, heavy cancellation, subnormals, signed
+    zeros, and a few floats of hypothesis's own choosing planted among
+    them."""
+    n = draw(st.integers(0, 3 * spectrum._EXACT_SUM_MIN))
+    kind = draw(st.sampled_from(
+        ["wide", "dense", "huge", "cancel", "subnormal", "zeros", "decaying"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "wide":      # exponents over more than 2,000 bits
+        x = sign * np.ldexp(rng.uniform(0.5, 1.0, n),
+                            rng.integers(-1074, 940, n))
+    elif kind == "dense":   # full bucket sums, merged runs near 2^53
+        x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-20, 20, n))
+    elif kind == "huge":    # near and past overflow
+        x = sign * np.ldexp(rng.uniform(0.5, 1.0, n),
+                            rng.integers(900, 1024, n))
+    elif kind == "cancel":  # terms and their negations, shuffled, plus dust
+        half = np.ldexp(rng.uniform(0.5, 1.0, n // 2),
+                        rng.integers(-60, 60, n // 2))
+        x = np.concatenate([half, -half, rng.uniform(-1e-300, 1e-300,
+                                                     n % 2)])
+        x = rng.permutation(x)
+        x[:min(n, 3)] *= 1.0 + 2.0 ** -52
+    elif kind == "subnormal":
+        x = sign * np.ldexp(rng.integers(0, 2 ** 52, n).astype(float), -1074)
+    elif kind == "zeros":
+        x = np.where(rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.5])),
+                     0.0, -0.0)
+    else:                   # positive spectral terms, underflowing to zero
+        x = np.exp(-np.sort(rng.exponential(200.0, n)))
+    planted = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            max_size=4))
+    if n:
+        x[rng.integers(0, n, len(planted))] = planted
+    return x
+
+
+class TestExactSum:
+    """exact_sum against math.fsum on the same terms, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=sum_inputs())
+    def test_equals_fsum(self, x):
+        self.check(x)
+
+    @staticmethod
+    def check(x):
+        want = fsum_outcome(x)
+        rounded = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(math, "fsum", lambda v, fsum=math.fsum:
+                       rounded.append(v) or fsum(v))
+            assert exact_sum_outcome(x) == want
+        if want not in (OverflowError, ValueError):
+            # whatever fsum rounded has the exact sum of the terms
+            exact = exact_value(x.tolist())
+            assert all(exact_value(v) == exact for v in rounded)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_buckets_merge_exactly(self, seed):
+        # many terms per exponent fill the buckets, so merged runs come
+        # close to 2^53
+        rng = np.random.default_rng(seed)
+        n = 3 * spectrum._EXACT_SUM_MIN
+        self.check(np.ldexp(rng.uniform(0.5, 1.0, n),
+                            rng.integers(-20, 20 + seed, n)))
+
+    @pytest.mark.parametrize("n", [10, 4 * spectrum._EXACT_SUM_MIN])
+    def test_signed_zeros(self, n):
+        # fsum gives +0.0 for all -0.0 before Python 3.12 and -0.0 since
+        for x in (np.full(n, -0.0), np.full(n, 0.0),
+                  np.r_[np.full(n - 1, -0.0), 0.0],
+                  np.r_[np.ones(n // 2), -np.ones(n // 2)]):
+            assert exact_sum_outcome(x) == fsum_outcome(x)
+
+    @pytest.mark.parametrize("n", [10, 4 * spectrum._EXACT_SUM_MIN])
+    @pytest.mark.parametrize("special", [[math.inf], [-math.inf], [math.nan],
+                                         [math.inf, -math.inf],
+                                         [math.inf, math.nan]])
+    def test_non_finite_terms(self, n, special):
+        x = np.linspace(-1.0, 2.0, n)
+        x[:len(special)] = special
+        assert exact_sum_outcome(x) == fsum_outcome(x)
+
+    @pytest.mark.parametrize("n", [10, 4 * spectrum._EXACT_SUM_MIN])
+    def test_overflow_raises_as_fsum_does(self, n):
+        big = np.finfo(float).max
+        for x in (np.full(n, big), np.full(n, -0.6 * big),
+                  # fsum raises on an intermediate overflow, not on the
+                  # same terms in an order that keeps every sum finite
+                  np.r_[big, big, -big, np.zeros(n - 3)],
+                  np.r_[big, -big, big, np.zeros(n - 3)],
+                  np.full(n, 2.0 ** 1019), np.full(n, -2.0 ** 1000)):
+            assert exact_sum_outcome(x) == fsum_outcome(x)
+        assert fsum_outcome(np.full(n, big)) is OverflowError
+
+    def test_sum_near_the_top_of_the_bucketed_range(self):
+        n = 4 * spectrum._EXACT_SUM_MIN
+        x = np.ldexp(np.random.default_rng(5).uniform(0.5, 1.0, n), 959)
+        assert exact_sum_outcome(x) == fsum_outcome(x)
+        assert math.isfinite(exact_sum(x))
 
 
 HEADER = "family,l,m,multiplicity,lambda\n"
@@ -484,6 +637,18 @@ class TestModeListPlumbing:
         em = em_modes(20.0)
         d = dirichlet_modes(20.0)
         assert p1.count == em.count + d.count
+
+    @pytest.mark.parametrize("radius", [1.0, 1.13])
+    @pytest.mark.parametrize("omega_max", [20.0, 55.5, 90.0])
+    @pytest.mark.parametrize("p, scalar", [(1, dirichlet_modes),
+                                           (2, neumann_modes)])
+    def test_form_list_equals_the_union(self, p, scalar, omega_max, radius):
+        got = form_modes(p, omega_max, radius)
+        want = em_modes(omega_max, radius).union(scalar(omega_max, radius))
+        for column in ("family", "l", "m", "multiplicity", "lam"):
+            assert same_bits(getattr(got, column), getattr(want, column))
+        assert (got.note, got.omega_max, got.radius) == (
+            f"p{p}", want.omega_max, want.radius)
 
     def test_union_radius_mismatch(self):
         with pytest.raises(ValueError, match="radii"):
