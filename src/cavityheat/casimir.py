@@ -17,7 +17,11 @@ of the divergence, which is what makes the energy difference finite.
 S(gamma) - prediction(gamma) against {1, g^-1/2, g^1/2 log g, g^1/2} and
 checks that the g^-1/2 component is compatible with zero, while a
 deliberately omitted prediction term is loudly detected.  Each S(gamma)
-is the correctly rounded sum of its terms (spectrum.exact_sum).
+is the correctly rounded sum of its terms (spectrum.exact_sum).  The
+sum and its tail do not depend on the prediction, so a ModeList keeps
+them per (regulator, gamma), up to 256 entries with the oldest dropped
+first: a clean scan and its planted-defect scan on one grid cost one
+set of sums.
 
 Related quantities: the single regulator integrals
 int_0^delta t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
@@ -75,14 +79,36 @@ class RegulatorKind(enum.Enum):
         return np.exp(-np.sqrt(gamma * lam))
 
 
+# (kind, gamma) entries one list keeps.  A clean scan and its
+# planted-defect scan share one grid of 60 sums and a floor search adds
+# about 60 more; 256 entries hold two such pairs in about 56 KB.
+_REGULATED_MEMO_SIZE = 256
+
+
 def _regulated_parts(modes, gamma, kind):
+    """(raw, tail) of the regulated sum, computed once per list and key.
+
+    Kept in the list's memo under (kind, gamma); once it holds
+    _REGULATED_MEMO_SIZE entries, the oldest is dropped first.
+    """
+    gamma = float(gamma)
+    memo = modes._regulated
+    key = (kind, gamma)
+    if key not in memo:
+        if len(memo) >= _REGULATED_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = _compute_regulated_parts(modes, gamma, kind)
+    return memo[key]
+
+
+def _compute_regulated_parts(modes, gamma, kind):
     """Raw regulated sum over the list and its smooth-density tail.
 
     The tail is the closed form of int_W^inf (c2 w^2 + c1 w) * w *
     regulator dw with the two-term calibrated density.
     """
     w = kind.weight(gamma, modes.lam)
-    raw = exact_sum(modes.multiplicity * modes.omega * w)
+    raw = exact_sum(modes.weighted_omega * w)
     c2, c1 = modes.density
     W = modes.omega_max
     if kind is RegulatorKind.HEAT:
@@ -106,8 +132,14 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
     tail estimate and its uncertainty.  Raises CutoffTooLowError
     (carrying the minimum usable gamma) when the tail exceeds
     rtol * raw, i.e. when the cutoff spectrum no longer determines the
-    sum.
+    sum, and ValueError for a gamma that is not positive and finite.
+    The (raw, tail) pair depends only on the list, the regulator and
+    gamma, so each list keeps the pairs of its last
+    _REGULATED_MEMO_SIZE (256) keys: a clean scan and a planted-defect
+    scan on the same list and grid pay for one set of sums.
     """
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     raw, tail = _regulated_parts(modes, gamma, kind)
@@ -290,6 +322,16 @@ class RemainderScan:
         return self.components["gamma^-1/2"]
 
     @property
+    def detectable_half_power(self):
+        """Five stderrs of the gamma^-1/2 component.
+
+        The smallest amplitude c of a planted c * gamma^-1/2 that the
+        scan resolves at 5 sigma; a "finite" verdict says something
+        only where it is below |a_3|.
+        """
+        return 5.0 * self.half_power[1]
+
+    @property
     def z_half(self):
         value, err = self.half_power
         return abs(value) / err if err > 0 else math.inf
@@ -315,6 +357,7 @@ class RemainderScan:
             "components": {k: list(v) for k, v in self.components.items()},
             "chi2_dof": self.chi2_dof,
             "z_half_power": self.z_half,
+            "detectable_half_power": self.detectable_half_power,
             "finite": self.finite,
         }
 

@@ -417,7 +417,7 @@ class ModeList:
             object.__setattr__(self, name, np.asarray(getattr(self, name))[order])
         object.__setattr__(self, "lam", lam[order])
         # read-only, so an in-place write cannot leave the cached
-        # omega, density or usable floors stale
+        # columns, density, usable floors or regulated sums stale
         for name in ("family", "l", "m", "multiplicity", "lam"):
             getattr(self, name).setflags(write=False)
 
@@ -430,6 +430,13 @@ class ModeList:
         omega.setflags(write=False)
         return omega
 
+    @cached_property
+    def weighted_omega(self):
+        """multiplicity * omega, the frequency each row adds to a sum."""
+        column = self.multiplicity * self.omega
+        column.setflags(write=False)
+        return column
+
     @property
     def count(self):
         """Total number of modes, multiplicity included."""
@@ -441,21 +448,6 @@ class ModeList:
 
     def families_present(self):
         return sorted(set(self.family.tolist()))
-
-    def union(self, other):
-        """Disjoint union of two mode lists over the same ball."""
-        if abs(self.radius - other.radius) > 1e-12:
-            raise ValueError("cannot merge spectra of different radii")
-        return ModeList(
-            family=np.concatenate([self.family, other.family]),
-            l=np.concatenate([self.l, other.l]),
-            m=np.concatenate([self.m, other.m]),
-            multiplicity=np.concatenate([self.multiplicity, other.multiplicity]),
-            lam=np.concatenate([self.lam, other.lam]),
-            radius=self.radius,
-            omega_max=min(self.omega_max, other.omega_max),
-            note=" + ".join(x for x in (self.note, other.note) if x),
-        )
 
     # -- truncation model ------------------------------------------------
 
@@ -487,6 +479,11 @@ class ModeList:
     @cached_property
     def _usable_floor(self):
         """Memo of smallest_usable over this list: (trace, rtol) -> floor."""
+        return {}
+
+    @cached_property
+    def _regulated(self):
+        """Memo of casimir._regulated_parts: (kind, gamma) -> (raw, tail)."""
         return {}
 
     # -- persistence -------------------------------------------------------
@@ -584,8 +581,9 @@ def em_modes(omega_max, radius=1.0) -> ModeList:
 def form_modes(p, omega_max, radius=1.0) -> ModeList:
     """Spectrum of the degree-p form Laplacian on the ball (zero modes off).
 
-    Degrees 1 and 2 are assembled as disjoint unions, vector = EM plus
-    scalar, mirroring the exact trace splitting
+    Degrees 1 and 2 list the EM families together with one scalar
+    family (value-fixed for p=1, flux-fixed for p=2), enumerated in one
+    pass, mirroring the exact trace splitting
     Tr' (vector, p=1) = Tr' (divergence-free) + Tr' (scalar, p=0) and its
     p=2/3 counterpart; the ball has no harmonic 1- or 2-forms, so no
     finite-dimensional correction arises.

@@ -34,7 +34,12 @@ from cavityheat.coefficients import (
     delta_a3,
     em_coefficients,
 )
-from cavityheat.spectrum import CutoffTooLowError, ModeList, em_modes
+from cavityheat.spectrum import (
+    CutoffTooLowError,
+    ModeList,
+    em_modes,
+    exact_sum,
+)
 
 SQPI = math.sqrt(math.pi)
 
@@ -105,6 +110,13 @@ class TestRegularizedSum:
         assert remainder_scan(replace(em200), pred, gammas).as_dict() \
             == scan.as_dict()
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_non_finite_gamma_rejected(self, em60, kind, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            regularized_sum(em60, gamma, kind)
+
     def test_cutoff_error_carries_minimum(self, em60):
         with pytest.raises(CutoffTooLowError) as err:
             regularized_sum(em60, 1e-8, RegulatorKind.HEAT)
@@ -135,6 +147,60 @@ class TestRegularizedSum:
         for (kind, rtol), g_min in floors.items():
             assert min_usable_gamma(modes, kind, rtol) == g_min
             assert min_usable_gamma(replace(em60), kind, rtol) == g_min
+
+
+class TestRegulatedMemo:
+    """Each list computes a (kind, gamma) sum once, in a bounded memo."""
+
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_defect_scan_reuses_the_clean_sums(self, em200, ball_coeffs,
+                                               monkeypatch, kind):
+        # criterion 6's narrow grid: HEAT keeps every point, SQRT
+        # excludes some and so searches its floor once
+        gammas = np.geomspace(1e-4, 1e-2, 60)
+        pred = divergence_prediction(ball_coeffs.values, kind)
+        fresh = [remainder_scan(replace(em200), p, gammas)
+                 for p in (pred, pred.without("g_m1"))]
+        summed = []
+
+        def counted(terms):
+            summed.append(len(terms))
+            return exact_sum(terms)
+
+        monkeypatch.setattr(casimir, "exact_sum", counted)
+        min_usable_gamma(replace(em200), kind)
+        steps = len(summed)             # one search on a list of its own
+        summed.clear()
+        modes = replace(em200)
+        pair = [remainder_scan(modes, p, gammas)
+                for p in (pred, pred.without("g_m1"))]
+        searched = steps if pair[0].excluded else 0
+        assert (kind is RegulatorKind.SQRT) == bool(searched)
+        assert len(summed) == len(gammas) + searched
+        for got, want in zip(pair, fresh):
+            assert got.as_dict() == want.as_dict()
+        assert detection_z(*pair) == detection_z(*fresh)
+
+    def test_memo_is_bounded_oldest_first(self, em60):
+        modes = replace(em60)
+        size = casimir._REGULATED_MEMO_SIZE
+        grids = [np.geomspace(0.02, 0.5, 60) * (1 + k / 100)
+                 for k in range(2 * size // 60 + 1)]
+        for gammas in grids:
+            for g in gammas:
+                regularized_sum(modes, float(g), RegulatorKind.SQRT)
+                assert len(modes._regulated) <= size
+        keys = [(RegulatorKind.SQRT, float(g)) for g in np.concatenate(grids)]
+        assert list(modes._regulated) == keys[-size:]
+
+    def test_copies_start_empty(self, em60, tmp_path):
+        modes = replace(em60)
+        regularized_sum(modes, 0.02, RegulatorKind.HEAT)
+        assert modes._regulated
+        modes.to_csv(tmp_path / "modes.csv")
+        for copy in (replace(modes), ModeList.from_csv(tmp_path / "modes.csv")):
+            assert copy._regulated == {}
 
 
 class TestRegulatorIntegral:
@@ -328,6 +394,18 @@ class TestRemainderScan:
             scan = remainder_scan(em60, pred, gammas)
             assert len(base) == 1
             assert np.array_equal(scan.sigmas, base[0])
+
+    def test_detectable_half_power_is_resolved(self, em60, ball_coeffs):
+        pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)
+        gammas = np.geomspace(1e-3, 5e-2, 40)
+        scan = remainder_scan(em60, pred, gammas)
+        amplitude = scan.detectable_half_power
+        assert amplitude == 5.0 * scan.half_power[1]
+        assert scan.as_dict()["detectable_half_power"] == amplitude
+        # a planted c * gamma^-1/2 at twice that amplitude stands out
+        planted = remainder_scan(em60, replace(pred, g_m12=2.0 * amplitude),
+                                 gammas)
+        assert planted.z_half > 5.0
 
     def test_report_serialisable(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)

@@ -336,6 +336,8 @@ class TestPipeline:
         assert code == 0
         doc = json.loads((tmp_path / "casimir.json").read_text())
         assert doc["scan"]["finite"] is True
+        assert doc["scan"]["detectable_half_power"] == \
+            5.0 * doc["scan"]["components"]["gamma^-1/2"][1]
         assert doc["prediction"]["gamma^-1/2"] == 0.0
         assert (tmp_path / "scan.csv").exists()
 

@@ -61,11 +61,20 @@ def em200():
     return em_modes(200.0)
 
 
+def concatenated(*lists):
+    """One ModeList holding every row of mode lists over the same ball."""
+    return ModeList(
+        **{name: np.concatenate([getattr(x, name) for x in lists])
+           for name in ("family", "l", "m", "multiplicity", "lam")},
+        radius=lists[0].radius,
+        omega_max=min(x.omega_max for x in lists))
+
+
 @pytest.fixture(scope="module")
 def ball20():
     """All four families of the unit ball up to omega = 20."""
-    return em_modes(20.0).union(dirichlet_modes(20.0)).union(
-        neumann_modes(20.0))
+    return concatenated(em_modes(20.0), dirichlet_modes(20.0),
+                        neumann_modes(20.0))
 
 
 def single_mode(lam=1.0, mult=1, family="TE", l=1):
@@ -618,7 +627,7 @@ class TestModeListPlumbing:
         assert shifted.density == fresh.density != em30.density
 
     @pytest.mark.parametrize("name", ["family", "l", "m", "multiplicity",
-                                      "lam", "omega"])
+                                      "lam", "omega", "weighted_omega"])
     def test_arrays_are_read_only(self, em30, name):
         column = getattr(em30, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -628,15 +637,9 @@ class TestModeListPlumbing:
         min_usable_t(em30)
         assert em30._usable_floor
         em30.to_csv(tmp_path / "modes.csv")
-        for copy in (replace(em30), em30.union(single_mode()),
+        for copy in (replace(em30),
                      ModeList.from_csv(tmp_path / "modes.csv")):
             assert copy._usable_floor == {}
-
-    def test_union_counts(self):
-        p1 = form_modes(1, 20.0)
-        em = em_modes(20.0)
-        d = dirichlet_modes(20.0)
-        assert p1.count == em.count + d.count
 
     @pytest.mark.parametrize("radius", [1.0, 1.13])
     @pytest.mark.parametrize("omega_max", [20.0, 55.5, 90.0])
@@ -644,15 +647,12 @@ class TestModeListPlumbing:
                                            (2, neumann_modes)])
     def test_form_list_equals_the_union(self, p, scalar, omega_max, radius):
         got = form_modes(p, omega_max, radius)
-        want = em_modes(omega_max, radius).union(scalar(omega_max, radius))
+        want = concatenated(em_modes(omega_max, radius),
+                            scalar(omega_max, radius))
         for column in ("family", "l", "m", "multiplicity", "lam"):
             assert same_bits(getattr(got, column), getattr(want, column))
         assert (got.note, got.omega_max, got.radius) == (
             f"p{p}", want.omega_max, want.radius)
-
-    def test_union_radius_mismatch(self):
-        with pytest.raises(ValueError, match="radii"):
-            em_modes(10.0, radius=1.0).union(em_modes(10.0, radius=2.0))
 
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError, match="zero or negative"):
