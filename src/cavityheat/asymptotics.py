@@ -1,13 +1,13 @@
 """Weighted least-squares extraction of heat-trace coefficients.
 
-Samples of K(t) on a small-t grid are fit against the half-integer power
-basis t^(-3/2) .. t^1.  Per-sample uncertainties combine the spectral
-truncation bound with a next-order contamination model (the
-last-included-term heuristic, |a_last| * t^(3/2)); known coefficients
-can be pinned and are subtracted before solving.  Standard errors come
-from the weighted normal equations, inflated by sqrt(chi2/dof) when the
-residuals exceed the declared uncertainties, so quoted errors remain
-honest when the model floor is optimistic.
+(t, K, bound) samples of K(t) are fit against the half-integer power
+basis t^(-3/2) .. t^1 with per-sample uncertainty bound + scale * t^(3/2)
++ 1e-14 * max(|K|, 1).  "bounds" weighting fits once with scale 0; the
+default "model" weighting refits with scale = |a_last| of that first
+pass (the last-included-term heuristic).  Known coefficients can be
+pinned and are subtracted before solving.  Standard errors come from
+the weighted normal equations, inflated by sqrt(chi2/dof) when the
+residuals exceed the declared uncertainties.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ CONDITION_REPORT = 1e6      # report the condition number beyond this
 CONDITION_LIMIT = 1e10      # refuse to solve beyond this
 
 
+def _require_samples(n, free):
+    if n < 2 * len(free):
+        raise ValueError(f"need at least 2 grid points per free coefficient, "
+                         f"got {n} for {len(free)}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Grid, basis and weighting choices for a coefficient fit."""
@@ -42,8 +48,7 @@ class FitConfig:
     n_points: int = 40
     exponents: tuple = HALF_POWERS
     pinned: dict = field(default_factory=dict)
-    weight_mode: str = "model"      # "model" | "bounds" | "uniform"
-    next_order_scale: float = None  # |a_last| heuristic; estimated if None
+    weight_mode: str = "model"      # "model" | "bounds"
 
     def __post_init__(self):
         if not 0 < self.t_lo < self.t_hi:
@@ -51,9 +56,13 @@ class FitConfig:
         bad = set(self.exponents) - set(HALF_POWERS)
         if bad:
             raise ValueError(f"exponents outside the half-power basis: {bad}")
-        free = [e for e in self.exponents if e not in self.pinned]
-        if self.n_points < 2 * len(free):
-            raise ValueError("need at least 2 grid points per free coefficient")
+        if self.weight_mode not in ("model", "bounds"):
+            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
+        _require_samples(self.n_points, self.free)
+
+    @property
+    def free(self):
+        return [e for e in self.exponents if e not in self.pinned]
 
     def t_grid(self):
         return np.geomspace(self.t_lo, self.t_hi, self.n_points)
@@ -137,41 +146,32 @@ def weighted_power_fit(design, b, sigma):
     return coef, stderr, cond, chi2_dof, float(np.linalg.norm(resid))
 
 
-def _sigma_model(t, bounds, K, config, last_coef_guess):
-    floor = 1e-14 * np.maximum(np.abs(K), 1.0)
-    if config.weight_mode == "uniform":
-        return np.ones_like(t)
-    if config.weight_mode == "bounds":
-        return bounds + floor
-    scale = (abs(last_coef_guess) if config.next_order_scale is None
-             else config.next_order_scale)
-    return bounds + scale * t ** 1.5 + floor
-
-
 def fit_coefficients(samples, config: FitConfig) -> FitResult:
-    """Fit heat-trace samples (t, K, bound) to the half-power basis.
-
-    ``samples`` is a (t, K, bound) triple of arrays (the output of
-    ``heat_trace_samples``) or an iterable of such rows.
-    """
-    t, K, bounds = (np.asarray(x, dtype=float) for x in _as_columns(samples))
-    free = [e for e in config.exponents if e not in config.pinned]
+    """Fit the (t, K, bound) arrays of heat_trace_samples to the basis."""
+    t, K, bounds = (np.asarray(x, dtype=float) for x in samples)
+    if not len(t) == len(K) == len(bounds):
+        raise ValueError(f"t, K and bound columns differ in length: "
+                         f"{len(t)}, {len(K)}, {len(bounds)}")
+    free = config.free
     if not free:
         raise ValueError("at least one coefficient must remain free")
+    _require_samples(len(t), free)
     target = K.copy()
     for e, value in config.pinned.items():
         target = target - value * t ** e
+    design = np.column_stack([t ** e for e in free])
+    floor = 1e-14 * np.maximum(np.abs(K), 1.0)
 
-    def solve(last_guess):
-        sigma = _sigma_model(t, bounds, K, config, last_guess)
-        design = np.column_stack([t ** e for e in free])
-        return weighted_power_fit(design, target, sigma)
+    def solve(scale):
+        return weighted_power_fit(design, target,
+                                  bounds + scale * t ** 1.5 + floor)
 
-    # two passes: the first estimates the last-basis coefficient that
-    # feeds the next-order contamination model of the second
-    coef, *_ = solve(0.0)
-    last = coef[free.index(max(free))]
-    coef, stderr, cond, chi2_dof, resid = solve(last)
+    coef, stderr, cond, chi2_dof, resid = solve(0.0)
+    if config.weight_mode == "model":
+        # the first pass estimates the last-basis coefficient that sizes
+        # the next-order contamination term of the second
+        coef, stderr, cond, chi2_dof, resid = solve(
+            abs(coef[free.index(max(free))]))
 
     return FitResult(
         coefficients={e: (float(c), float(s))
@@ -183,11 +183,3 @@ def fit_coefficients(samples, config: FitConfig) -> FitResult:
         window=(float(t.min()), float(t.max())),
         n_samples=len(t),
     )
-
-
-def _as_columns(samples):
-    if isinstance(samples, tuple) and len(samples) == 3:
-        return samples
-    rows = np.asarray(list(samples), dtype=float)
-    return rows[:, 0], rows[:, 1], rows[:, 2]
-

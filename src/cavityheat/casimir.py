@@ -42,7 +42,7 @@ from .spectrum import (
     CutoffTooLowError,
     ModeList,
     TailCorrected,
-    TAIL_DENSITY_RELERR,
+    _require_positive,
     exact_sum,
     smallest_usable,
     upper_gamma_3_2,
@@ -138,10 +138,7 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
     _REGULATED_MEMO_SIZE (256) keys: a clean scan and a planted-defect
     scan on the same list and grid pay for one set of sums.
     """
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _require_positive("gamma", gamma)
     raw, tail = _regulated_parts(modes, gamma, kind)
     if tail > rtol * raw:
         raise CutoffTooLowError(
@@ -149,8 +146,7 @@ def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
             f"gamma={gamma:g}; minimum usable gamma ~ "
             f"{min_usable_gamma(modes, kind, rtol):.4g}",
             min_usable_gamma(modes, kind, rtol))
-    return TailCorrected(raw=raw, tail=tail,
-                         tail_sigma=TAIL_DENSITY_RELERR * tail)
+    return TailCorrected(raw=raw, tail=tail)
 
 
 def min_usable_gamma(modes: ModeList, kind: RegulatorKind, rtol=0.5):
@@ -238,26 +234,19 @@ class DivergencePrediction:
                 "gamma^-1/2": self.g_m12, "log(gamma)": self.g_log}
 
 
+# factor of a_n in slot n of S(gamma): g^-2, g^-3/2, g^-1, g^-1/2, log g
+_DIVERGENCE_FACTORS = {
+    RegulatorKind.HEAT: (2.0 / SQPI, SQPI / 2.0, 1.0 / SQPI, 0.0,
+                         1.0 / (2.0 * SQPI)),
+    RegulatorKind.SQRT: (24.0 / SQPI, 4.0, 2.0 / SQPI, 0.0, 1.0 / SQPI),
+}
+
+
 def divergence_prediction(coeffs, kind: RegulatorKind) -> DivergencePrediction:
     """Map heat-trace coefficients onto the divergence slots of S(gamma)."""
-    a = [coeffs[n] for n in range(5)]
-    if kind is RegulatorKind.HEAT:
-        return DivergencePrediction(
-            kind=kind,
-            g_m2=2.0 / SQPI * a[0],
-            g_m32=SQPI / 2.0 * a[1],
-            g_m1=1.0 / SQPI * a[2],
-            g_m12=0.0 * a[3],
-            g_log=1.0 / (2.0 * SQPI) * a[4],
-        )
     return DivergencePrediction(
-        kind=kind,
-        g_m2=24.0 / SQPI * a[0],
-        g_m32=4.0 * a[1],
-        g_m1=2.0 / SQPI * a[2],
-        g_m12=0.0 * a[3],
-        g_log=1.0 / SQPI * a[4],
-    )
+        kind, *(f * coeffs[n]
+                for n, f in enumerate(_DIVERGENCE_FACTORS[kind])))
 
 
 SCAN_BASIS = ("const", "gamma^-1/2", "gamma^1/2*log", "gamma^1/2")
@@ -425,9 +414,9 @@ def detection_z(clean: RemainderScan, defect: RemainderScan):
         raise ValueError("scans must share the same usable gamma grid")
     dof = max(n - len(SCAN_BASIS), 1)
     # re-evaluate the defective remainder against the clean sigmas
-    coef, *_ = weighted_power_fit(_scan_design(defect.gammas),
-                                  defect.remainder, clean.sigmas)
-    resid = (defect.remainder - _scan_design(defect.gammas) @ coef) / clean.sigmas
+    design = _scan_design(defect.gammas)
+    coef, *_ = weighted_power_fit(design, defect.remainder, clean.sigmas)
+    resid = (defect.remainder - design @ coef) / clean.sigmas
     chi2_defect = float(resid @ resid)
     chi2_clean = clean.chi2_dof * dof
     return math.sqrt(max(chi2_defect - chi2_clean, 0.0))

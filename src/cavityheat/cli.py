@@ -249,11 +249,19 @@ def _cmd_trace(args, parser):
 
 
 def _cmd_fit(args, parser):
-    from .asymptotics import FitConfig, fit_coefficients
+    from .asymptotics import CONDITION_REPORT, FitConfig, fit_coefficients
 
     t0 = time.time()
     rows = np.genfromtxt(args.trace, delimiter=",", names=True)
-    t = np.atleast_1d(rows["t"])
+    t, K, bound = (np.atleast_1d(rows[c]) for c in ("t", "K", "bound"))
+    # a non-numeric field reads as NaN
+    ok = (np.isfinite(t) & (t > 0) & np.isfinite(K) & np.isfinite(bound)
+          & (bound >= 0))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SystemExit1(f"{args.trace}: data row {i + 1} needs finite t > 0,"
+                          f" K and bound >= 0, got t={t[i]:g}, K={K[i]:g}, "
+                          f"bound={bound[i]:g}")
     keep = np.ones(len(t), dtype=bool)
     if args.t_lo is not None:
         keep &= t >= args.t_lo
@@ -262,8 +270,7 @@ def _cmd_fit(args, parser):
     if not keep.any():
         raise SystemExit1(f"no samples of {args.trace} lie in the window "
                           f"[{args.t_lo}, {args.t_hi}]")
-    samples = (t[keep], np.atleast_1d(rows["K"])[keep],
-               np.atleast_1d(rows["bound"])[keep])
+    samples = t[keep], K[keep], bound[keep]
     pinned = {-1.0: 0.0} if args.pin_a1_zero else {}
     config = FitConfig(t_lo=float(samples[0].min()),
                        t_hi=float(samples[0].max()),
@@ -277,7 +284,7 @@ def _cmd_fit(args, parser):
     model = sum(result.value(e) * samples[0] ** e for e in config.exponents)
     _write_csv(_out_dir(args) / "fit_curve.csv", "t,K,model",
                samples[0], samples[1], model)
-    if result.condition_number > 1e6:
+    if result.condition_number > CONDITION_REPORT:
         print(f"note: condition number {result.condition_number:.3g}",
               file=sys.stderr)
     return 0

@@ -683,8 +683,7 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
     Returns (value, bound).  Raises CutoffTooLowError carrying the
     minimum usable t when the truncation tail exceeds rtol * K(t).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _require_positive("t", t)
     value, bound = _heat_parts(modes, t)
     if bound > rtol * value:
         t_min = min_usable_t(modes, rtol)
@@ -714,11 +713,14 @@ class TailCorrected:
 
     raw: float
     tail: float
-    tail_sigma: float
 
     @property
     def value(self):
         return self.raw + self.tail
+
+    @property
+    def tail_sigma(self):
+        return TAIL_DENSITY_RELERR * self.tail
 
 
 def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
@@ -728,8 +730,7 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
     smooth-density tail above the cutoff is estimated in closed form and
     reported with a TAIL_DENSITY_RELERR uncertainty.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _require_positive("mu", mu)
     raw = exact_sum(modes.multiplicity / (modes.lam + mu) ** 2)
     c2, c1 = modes.density
     W = modes.omega_max
@@ -737,7 +738,7 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
     tail = (c2 * 0.5 * ((math.pi / 2 - math.atan(W / smu)) / smu
                         + W / (W * W + mu))
             + c1 * 0.5 / (W * W + mu))
-    return TailCorrected(raw=raw, tail=tail, tail_sigma=TAIL_DENSITY_RELERR * tail)
+    return TailCorrected(raw=raw, tail=tail)
 
 
 def resolvent2_expansion(coeffs, mu):

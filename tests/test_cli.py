@@ -217,6 +217,26 @@ class TestUsageErrors:
         doc = json.loads(capsys.readouterr().err)
         assert doc["diagnostics"] == {"type": type(error).__name__}
 
+    @pytest.mark.parametrize("column, value", [
+        ("K", "nan"), ("K", "inf"), ("K", "-inf"), ("K", "abc"),
+        ("t", "0"), ("t", "-0.1"), ("t", "nan"), ("t", "inf"),
+        ("bound", "-1e-9"), ("bound", "nan"), ("bound", "inf"),
+    ])
+    def test_bad_trace_row_exits_1(self, small_run, tmp_path, capsys,
+                                   column, value):
+        lines = (small_run / "trace.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(row)
+        trace = tmp_path / "bad_trace.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(tmp_path, "fit", "--trace", trace) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "data row 3 " in err
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize("lo, hi", [(1.5, 5.0), (0.02, 0.01), (0.0, 0.1)],
                              ids=["above-delta", "above-hi", "zero"])
     def test_casimir_gamma_lo_outside_domain_writes_nothing(

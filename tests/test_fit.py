@@ -77,6 +77,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="grid points"):
             FitConfig(t_lo=0.01, t_hi=0.1, n_points=8)
 
+    def test_sample_floor_applies_to_the_samples_passed(self):
+        # the config's grid has 40 points, but only 3 samples arrive
+        config = FitConfig(t_lo=0.005, t_hi=0.08, n_points=40)
+        t, K, bound = exact_samples(config)
+        with pytest.raises(ValueError, match="grid points"):
+            fit_coefficients((t[:3], K[:3], bound[:3]), config)
+
+    def test_unequal_columns_rejected(self):
+        config = FitConfig(t_lo=0.005, t_hi=0.08, n_points=40)
+        t, K, bound = exact_samples(config)
+        with pytest.raises(ValueError, match="differ in length"):
+            fit_coefficients((t, K[:-1], bound), config)
+
+    @pytest.mark.parametrize("mode", ["bound", "uniform", "Model"])
+    def test_unknown_weight_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="weight_mode"):
+            FitConfig(t_lo=0.01, t_hi=0.1, weight_mode=mode)
+
     def test_all_pinned_rejected(self):
         config = FitConfig(t_lo=0.01, t_hi=0.1, n_points=12,
                            exponents=(0.0,), pinned={0.0: 1.0})

@@ -327,6 +327,15 @@ class TestResolvent:
             assert abs(r.value - model) < budget, (mu, r.value - model, budget)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, trace", [("t", heat_trace),
+                                         ("mu", resolvent2_trace)],
+                         ids=["heat_trace", "resolvent2_trace"])
+def test_non_finite_argument_rejected(em30, name, trace, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        trace(em30, value)
+
+
 def fsum_outcome(x):
     """math.fsum of the array's list: its bits, or the error it raises."""
     try:
