@@ -51,14 +51,14 @@ class FitConfig:
     weight_mode: str = "model"      # "model" | "bounds"
 
     def __post_init__(self):
-        if not 0 < self.t_lo < self.t_hi:
-            raise ValueError("need 0 < t_lo < t_hi")
         bad = set(self.exponents) - set(HALF_POWERS)
         if bad:
             raise ValueError(f"exponents outside the half-power basis: {bad}")
+        _require_samples(self.n_points, self.free)
+        if not 0 < self.t_lo < self.t_hi:
+            raise ValueError("need 0 < t_lo < t_hi")
         if self.weight_mode not in ("model", "bounds"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        _require_samples(self.n_points, self.free)
 
     @property
     def free(self):

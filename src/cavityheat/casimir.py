@@ -16,12 +16,11 @@ of the divergence, which is what makes the energy difference finite.
 ``remainder_scan`` verifies this numerically: it fits
 S(gamma) - prediction(gamma) against {1, g^-1/2, g^1/2 log g, g^1/2} and
 checks that the g^-1/2 component is compatible with zero, while a
-deliberately omitted prediction term is loudly detected.  Each S(gamma)
-is the correctly rounded sum of its terms (spectrum.exact_sum).  The
-sum and its tail do not depend on the prediction, so a ModeList keeps
-them per (regulator, gamma), up to 256 entries with the oldest dropped
-first: a clean scan and its planted-defect scan on one grid cost one
-set of sums.
+deliberately omitted prediction term is loudly detected.  S(gamma) and
+its tail are the "heat" and "sqrt" sums of spectrum.sum_parts, which
+keeps them on the mode list, so a clean scan and its planted-defect
+scan on one grid cost one set of sums.  A point is usable while its
+tail is at most REGULATED_RTOL = 0.5 times the raw sum.
 
 Related quantities: the single regulator integrals
 int_0^delta t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
@@ -42,10 +41,8 @@ from .spectrum import (
     CutoffTooLowError,
     ModeList,
     TailCorrected,
-    _require_positive,
-    exact_sum,
     smallest_usable,
-    upper_gamma_3_2,
+    sum_parts,
 )
 
 __all__ = [
@@ -73,87 +70,35 @@ class RegulatorKind(enum.Enum):
     HEAT = "heat"
     SQRT = "sqrt"
 
-    def weight(self, gamma, lam):
-        if self is RegulatorKind.HEAT:
-            return np.exp(-gamma * lam)
-        return np.exp(-np.sqrt(gamma * lam))
+
+# largest tail-to-raw ratio at which a regulated sum is usable
+REGULATED_RTOL = 0.5
 
 
-# (kind, gamma) entries one list keeps.  A clean scan and its
-# planted-defect scan share one grid of 60 sums and a floor search adds
-# about 60 more; 256 entries hold two such pairs in about 56 KB.
-_REGULATED_MEMO_SIZE = 256
-
-
-def _regulated_parts(modes, gamma, kind):
-    """(raw, tail) of the regulated sum, computed once per list and key.
-
-    Kept in the list's memo under (kind, gamma); once it holds
-    _REGULATED_MEMO_SIZE entries, the oldest is dropped first.
-    """
-    gamma = float(gamma)
-    memo = modes._regulated
-    key = (kind, gamma)
-    if key not in memo:
-        if len(memo) >= _REGULATED_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = _compute_regulated_parts(modes, gamma, kind)
-    return memo[key]
-
-
-def _compute_regulated_parts(modes, gamma, kind):
-    """Raw regulated sum over the list and its smooth-density tail.
-
-    The tail is the closed form of int_W^inf (c2 w^2 + c1 w) * w *
-    regulator dw with the two-term calibrated density.
-    """
-    w = kind.weight(gamma, modes.lam)
-    raw = exact_sum(modes.weighted_omega * w)
-    c2, c1 = modes.density
-    W = modes.omega_max
-    if kind is RegulatorKind.HEAT:
-        z = gamma * W * W
-        term2 = c2 * 0.5 * (1.0 + z) * math.exp(-z) / gamma ** 2
-        term1 = c1 * 0.5 * gamma ** -1.5 * upper_gamma_3_2(z)
-        return raw, term2 + term1
-    s = math.sqrt(gamma)
-    u = s * W
-    term2 = c2 * math.exp(-u) * (W**3 / s + 3 * W**2 / s**2
-                                 + 6 * W / s**3 + 6 / s**4)
-    term1 = c1 * math.exp(-u) * (W**2 / s + 2 * W / s**2 + 2 / s**3)
-    return raw, term2 + term1
-
-
-def regularized_sum(modes: ModeList, gamma, kind: RegulatorKind,
-                    rtol=0.5) -> TailCorrected:
+def regularized_sum(modes: ModeList, gamma,
+                    kind: RegulatorKind) -> TailCorrected:
     """Exactly rounded sum of multiplicity * sqrt(lambda) * regulator.
 
     Returns the raw partial sum together with the calibrated-density
     tail estimate and its uncertainty.  Raises CutoffTooLowError
     (carrying the minimum usable gamma) when the tail exceeds
-    rtol * raw, i.e. when the cutoff spectrum no longer determines the
-    sum, and ValueError for a gamma that is not positive and finite.
-    The (raw, tail) pair depends only on the list, the regulator and
-    gamma, so each list keeps the pairs of its last
-    _REGULATED_MEMO_SIZE (256) keys: a clean scan and a planted-defect
-    scan on the same list and grid pay for one set of sums.
+    REGULATED_RTOL * raw, i.e. when the cutoff spectrum no longer
+    determines the sum, and ValueError for a gamma that is not positive
+    and finite.
     """
-    _require_positive("gamma", gamma)
-    raw, tail = _regulated_parts(modes, gamma, kind)
-    if tail > rtol * raw:
+    raw, tail = sum_parts(modes, kind.value, gamma)
+    if tail > REGULATED_RTOL * raw:
         raise CutoffTooLowError(
-            f"regulated-sum tail {tail:.3g} exceeds {rtol:g} * raw at "
-            f"gamma={gamma:g}; minimum usable gamma ~ "
-            f"{min_usable_gamma(modes, kind, rtol):.4g}",
-            min_usable_gamma(modes, kind, rtol))
+            f"regulated-sum tail {tail:.3g} exceeds {REGULATED_RTOL:g} * raw "
+            f"at gamma={gamma:g}; minimum usable gamma ~ "
+            f"{min_usable_gamma(modes, kind):.4g}",
+            min_usable_gamma(modes, kind))
     return TailCorrected(raw=raw, tail=tail)
 
 
-def min_usable_gamma(modes: ModeList, kind: RegulatorKind, rtol=0.5):
+def min_usable_gamma(modes: ModeList, kind: RegulatorKind):
     """Smallest gamma at which regularized_sum accepts the point."""
-    return smallest_usable(modes, kind,
-                           lambda g: _regulated_parts(modes, g, kind),
-                           rtol, 1e-10, 10.0)
+    return smallest_usable(modes, kind.value, REGULATED_RTOL, 1e-10, 10.0)
 
 
 @dataclass(frozen=True)
@@ -352,12 +297,12 @@ class RemainderScan:
 
 
 def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
-                   gammas, rtol=0.5, z_threshold=1.0) -> RemainderScan:
+                   gammas, z_threshold=1.0) -> RemainderScan:
     """Check the divergence prediction against regulated sums.
 
-    Points whose truncation tail exceeds ``rtol`` times the raw sum are
-    excluded (the cutoff spectrum says nothing there); the rest enter a
-    weighted fit with their tail uncertainties.  Fewer than
+    Points whose truncation tail exceeds REGULATED_RTOL times the raw
+    sum are excluded (the cutoff spectrum says nothing there); the rest
+    enter a weighted fit with their tail uncertainties.  Fewer than
     2 * len(SCAN_BASIS) usable points raise CutoffTooLowError carrying
     the minimum usable gamma when exclusions caused the shortfall, and
     ValueError when the grid itself is too short.  Quoted component errors
@@ -367,7 +312,7 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
     kept, excluded, vals, sigs = [], [], [], []
     for g in np.sort(np.asarray(gammas, dtype=float)):
         try:
-            s = regularized_sum(modes, float(g), prediction.kind, rtol=rtol)
+            s = regularized_sum(modes, float(g), prediction.kind)
         except CutoffTooLowError:
             excluded.append(float(g))
             continue
@@ -379,7 +324,7 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
                    f">= {2 * len(SCAN_BASIS)}); raise the cutoff or the grid")
         if not excluded:
             raise ValueError(message)   # the grid itself is too short
-        g_min = min_usable_gamma(modes, prediction.kind, rtol)
+        g_min = min_usable_gamma(modes, prediction.kind)
         raise CutoffTooLowError(f"{message}; minimum usable gamma ~ "
                                 f"{g_min:.4g}", g_min)
     kept = np.array(kept)

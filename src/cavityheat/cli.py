@@ -123,17 +123,17 @@ def _out_dir(args):
 
 
 def _surface_from_args(args, parser):
+    """(model, path of its surface file or None) named by --surface."""
     from .geometry import ellipsoid, sphere, torus
     from .surfacefile import load_surface
 
     spec = args.surface
     if spec == "sphere":
-        return sphere(args.radius)
+        return sphere(args.radius), None
     if spec == "ellipsoid":
-        a, b, c = args.axes
-        return ellipsoid(a, b, c)
+        return ellipsoid(*args.axes), None
     if spec == "torus":
-        return torus(args.ring_radius, args.tube_radius)
+        return torus(args.ring_radius, args.tube_radius), None
     if spec.startswith("file:"):
         return load_surface(spec[5:]), Path(spec[5:])
     parser.error(f"unknown surface {spec!r}")
@@ -159,8 +159,7 @@ def _cmd_coeffs(args, parser):
     from .tables import consistency_report
 
     t0 = time.time()
-    got = _surface_from_args(args, parser)
-    model, inputs = (got if isinstance(got, tuple) else (got, None))
+    model, inputs = _surface_from_args(args, parser)
     quad = QuadratureSpec(order=args.quad_order)
     moments = compute_moments(model, quad)
     topo = model.topology
@@ -252,7 +251,10 @@ def _cmd_fit(args, parser):
     from .asymptotics import CONDITION_REPORT, FitConfig, fit_coefficients
 
     t0 = time.time()
-    rows = np.genfromtxt(args.trace, delimiter=",", names=True)
+    lines = Path(args.trace).read_text().splitlines()
+    if not any(line.strip() for line in lines):
+        raise SystemExit1(f"{args.trace} is empty: no header, 0 data rows")
+    rows = np.genfromtxt(lines, delimiter=",", names=True)
     t, K, bound = (np.atleast_1d(rows[c]) for c in ("t", "K", "bound"))
     # a non-numeric field reads as NaN
     ok = (np.isfinite(t) & (t > 0) & np.isfinite(K) & np.isfinite(bound)
@@ -267,14 +269,19 @@ def _cmd_fit(args, parser):
         keep &= t >= args.t_lo
     if args.t_hi is not None:
         keep &= t <= args.t_hi
-    if not keep.any():
-        raise SystemExit1(f"no samples of {args.trace} lie in the window "
-                          f"[{args.t_lo}, {args.t_hi}]")
     samples = t[keep], K[keep], bound[keep]
     pinned = {-1.0: 0.0} if args.pin_a1_zero else {}
-    config = FitConfig(t_lo=float(samples[0].min()),
-                       t_hi=float(samples[0].max()),
-                       n_points=len(samples[0]), pinned=pinned)
+    try:
+        # an empty window reaches the sample-count check with (inf, -inf)
+        config = FitConfig(t_lo=float(samples[0].min(initial=math.inf)),
+                           t_hi=float(samples[0].max(initial=-math.inf)),
+                           n_points=len(samples[0]), pinned=pinned)
+    except ValueError as err:
+        n = len(samples[0])
+        where = ("" if keep.all() else
+                 f" in the window [{args.t_lo}, {args.t_hi}]")
+        raise SystemExit1(f"{args.trace} has {n} data row{'s' * (n != 1)}"
+                          f"{where}: {err}") from None
     result = fit_coefficients(samples, config)
     payload = {"schema_version": SCHEMA_VERSION,
                "fit": result.as_dict(),

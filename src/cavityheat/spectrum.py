@@ -36,8 +36,11 @@ spherical_jn calls scipy's compiled kernels directly: the public
 scipy.special.spherical_jn adds only the reflection to x < 0 around
 them, and its values at x > 0 are the same to the last bit.
 
-The heat and squared-resolvent traces are the correctly rounded sums of
-their terms: exact_sum gives math.fsum's double in a few array passes.
+Each tail-corrected sum (the heat trace, the heat- and sqrt-regulated
+frequency sums, the squared-resolvent trace) is one entry of _SUMS: its
+terms, whose correctly rounded sum exact_sum gives in a few array
+passes, and the closed-form tail of the calibrated density above the
+cutoff.  sum_parts keeps the last 256 (raw, tail) pairs on each list.
 """
 
 from __future__ import annotations
@@ -417,7 +420,7 @@ class ModeList:
             object.__setattr__(self, name, np.asarray(getattr(self, name))[order])
         object.__setattr__(self, "lam", lam[order])
         # read-only, so an in-place write cannot leave the cached
-        # columns, density, usable floors or regulated sums stale
+        # columns, density, usable floors or sums stale
         for name in ("family", "l", "m", "multiplicity", "lam"):
             getattr(self, name).setflags(write=False)
 
@@ -482,8 +485,8 @@ class ModeList:
         return {}
 
     @cached_property
-    def _regulated(self):
-        """Memo of casimir._regulated_parts: (kind, gamma) -> (raw, tail)."""
+    def _sums(self):
+        """Memo of sum_parts over this list: (sum, x) -> (raw, tail)."""
         return {}
 
     # -- persistence -------------------------------------------------------
@@ -602,26 +605,24 @@ def form_modes(p, omega_max, radius=1.0) -> ModeList:
 # traces
 # ---------------------------------------------------------------------------
 
-def smallest_usable(modes, trace, parts, rtol, lo, hi):
-    """Smallest x in (lo, hi] whose (raw, tail) = parts(x) passes the cut-off.
+def smallest_usable(modes, name, rtol, lo, hi):
+    """Smallest x in (lo, hi] at which the sum ``name`` passes the cut-off.
 
-    A point is usable when tail <= rtol * raw, the test the traces apply
-    before they raise CutoffTooLowError.  Geometric bisection runs until
-    (lo, hi) stops changing, i.e. until they are adjacent floats, so the
-    result is the trace's own boundary to the last bit.  The rounded
-    sqrt(lo * hi) never leaves [lo, hi], so the interval only shrinks
-    and the loop ends (after about 60 steps on [1e-10, 10]).
-
-    The search runs once per (trace, rtol) on each mode list: ``trace``
-    names the sum that parts belongs to ("heat_trace" or a
-    RegulatorKind), and the floor is kept in the list's memo.
+    A point is usable when tail <= rtol * raw for sum_parts(modes, name,
+    x), the test the traces apply before they raise CutoffTooLowError.
+    Geometric bisection runs until (lo, hi) stops changing, i.e. until
+    they are adjacent floats, so the result is the trace's own boundary
+    to the last bit.  The rounded sqrt(lo * hi) never leaves [lo, hi],
+    so the interval only shrinks and the loop ends (after about 60 steps
+    on [1e-10, 10]).  The search runs once per (name, rtol) on each mode
+    list, which keeps the floor in its memo.
     """
     memo = modes._usable_floor
-    key = (trace, rtol)
+    key = (name, rtol)
     if key not in memo:
         while True:
             mid = math.sqrt(lo * hi)
-            raw, tail = parts(mid)
+            raw, tail = sum_parts(modes, name, mid)
             new = (mid, hi) if tail > rtol * raw else (lo, mid)
             if new == (lo, hi):
                 break
@@ -665,16 +666,71 @@ def exact_sum(terms):
     return total if total else math.fsum(terms.tolist())
 
 
-def _heat_parts(modes, t):
-    """K(t) over the list and the integral of (c2 w^2 + c1 w) exp(-t w^2)
-    above the cutoff."""
-    raw = exact_sum(modes.multiplicity * np.exp(-t * modes.lam))
-    c2, c1 = modes.density
-    W = modes.omega_max
+def _heat_trace_tail(c2, c1, W, t):
     z = t * W * W
-    term2 = c2 * 0.5 * t ** -1.5 * upper_gamma_3_2(z)
-    term1 = c1 * 0.5 / t * math.exp(-z)
-    return raw, term2 + term1
+    return (c2 * 0.5 * t ** -1.5 * upper_gamma_3_2(z)
+            + c1 * 0.5 / t * math.exp(-z))
+
+
+def _heat_regulated_tail(c2, c1, W, gamma):
+    z = gamma * W * W
+    return (c2 * 0.5 * (1.0 + z) * math.exp(-z) / gamma ** 2
+            + c1 * 0.5 * gamma ** -1.5 * upper_gamma_3_2(z))
+
+
+def _sqrt_regulated_tail(c2, c1, W, gamma):
+    s = math.sqrt(gamma)
+    e = math.exp(-s * W)
+    return (c2 * e * (W**3 / s + 3 * W**2 / s**2 + 6 * W / s**3 + 6 / s**4)
+            + c1 * e * (W**2 / s + 2 * W / s**2 + 2 / s**3))
+
+
+def _resolvent2_tail(c2, c1, W, mu):
+    smu = math.sqrt(mu)
+    return (c2 * 0.5 * ((math.pi / 2 - math.atan(W / smu)) / smu
+                        + W / (W * W + mu))
+            + c1 * 0.5 / (W * W + mu))
+
+
+# name -> (argument, terms over a list's rows at x, integral of the term
+# times the calibrated density c2 w^2 + c1 w above the cutoff W); "heat"
+# and "sqrt" are the values of casimir.RegulatorKind
+_SUMS = {
+    "heat_trace": ("t", lambda m, t: m.multiplicity * np.exp(-t * m.lam),
+                   _heat_trace_tail),
+    "heat": ("gamma", lambda m, g: m.weighted_omega * np.exp(-g * m.lam),
+             _heat_regulated_tail),
+    "sqrt": ("gamma",
+             lambda m, g: m.weighted_omega * np.exp(-np.sqrt(g * m.lam)),
+             _sqrt_regulated_tail),
+    "resolvent2": ("mu", lambda m, mu: m.multiplicity / (m.lam + mu) ** 2,
+                   _resolvent2_tail),
+}
+
+# (sum, x) entries one list keeps.  A clean scan and its planted-defect
+# scan share one grid of 60 sums and a floor search adds about 60 more;
+# 256 entries hold two such pairs in about 56 KB.
+_SUM_MEMO_SIZE = 256
+
+
+def sum_parts(modes, name, x):
+    """(raw, tail) of the sum _SUMS[name] at x, computed once per list.
+
+    ValueError names the argument when x is not positive and finite.
+    The pair is kept in the list's memo under (name, x); once that holds
+    _SUM_MEMO_SIZE entries, the oldest is dropped first.
+    """
+    arg, terms, tail = _SUMS[name]
+    _require_positive(arg, x)
+    x = float(x)
+    memo = modes._sums
+    key = (name, x)
+    if key not in memo:
+        if len(memo) >= _SUM_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = (exact_sum(terms(modes, x)),
+                     tail(*modes.density, modes.omega_max, x))
+    return memo[key]
 
 
 def heat_trace(modes: ModeList, t, rtol=1e-8):
@@ -683,8 +739,7 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
     Returns (value, bound).  Raises CutoffTooLowError carrying the
     minimum usable t when the truncation tail exceeds rtol * K(t).
     """
-    _require_positive("t", t)
-    value, bound = _heat_parts(modes, t)
+    value, bound = sum_parts(modes, "heat_trace", t)
     if bound > rtol * value:
         t_min = min_usable_t(modes, rtol)
         raise CutoffTooLowError(
@@ -695,8 +750,7 @@ def heat_trace(modes: ModeList, t, rtol=1e-8):
 
 def min_usable_t(modes: ModeList, rtol=1e-8):
     """Smallest t at which heat_trace accepts the truncation."""
-    return smallest_usable(modes, "heat_trace", lambda t: _heat_parts(modes, t),
-                           rtol, 1e-8, 10.0)
+    return smallest_usable(modes, "heat_trace", rtol, 1e-8, 10.0)
 
 
 def heat_trace_samples(modes: ModeList, ts, rtol=1e-8):
@@ -730,15 +784,7 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
     smooth-density tail above the cutoff is estimated in closed form and
     reported with a TAIL_DENSITY_RELERR uncertainty.
     """
-    _require_positive("mu", mu)
-    raw = exact_sum(modes.multiplicity / (modes.lam + mu) ** 2)
-    c2, c1 = modes.density
-    W = modes.omega_max
-    smu = math.sqrt(mu)
-    tail = (c2 * 0.5 * ((math.pi / 2 - math.atan(W / smu)) / smu
-                        + W / (W * W + mu))
-            + c1 * 0.5 / (W * W + mu))
-    return TailCorrected(raw=raw, tail=tail)
+    return TailCorrected(*sum_parts(modes, "resolvent2", mu))
 
 
 def resolvent2_expansion(coeffs, mu):

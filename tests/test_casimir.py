@@ -13,6 +13,7 @@ import pytest
 
 import cavityheat
 import cavityheat.casimir as casimir
+import cavityheat.spectrum as spectrum
 from cavityheat import QuadratureSpec, TopologyInfo, sphere, torus
 from cavityheat.asymptotics import IllPosedFitError
 from cavityheat.casimir import (
@@ -39,9 +40,15 @@ from cavityheat.spectrum import (
     ModeList,
     em_modes,
     exact_sum,
+    heat_trace,
+    resolvent2_trace,
 )
 
 SQPI = math.sqrt(math.pi)
+
+# each regulator's damping factor at (gamma, lambda), written out
+WEIGHT = {RegulatorKind.HEAT: lambda g, lam: np.exp(-g * lam),
+          RegulatorKind.SQRT: lambda g, lam: np.exp(-np.sqrt(g * lam))}
 
 
 def single_mode(lam=1.0, mult=1, family="TE", l=1):
@@ -81,7 +88,7 @@ class TestRegularizedSum:
     @pytest.mark.parametrize("kind", list(RegulatorKind),
                              ids=lambda k: k.name)
     def test_raw_matches_loop_reference(self, em60, kind):
-        w = kind.weight(0.02, em60.lam)
+        w = WEIGHT[kind](0.02, em60.lam)
         ref = math.fsum(float(m) * om * wi for m, om, wi
                         in zip(em60.multiplicity, em60.omega, w))
         assert regularized_sum(em60, 0.02, kind).raw == ref
@@ -90,7 +97,7 @@ class TestRegularizedSum:
     @pytest.mark.parametrize("kind", list(RegulatorKind),
                              ids=lambda k: k.name)
     def test_long_list_raw_matches_loop_reference(self, em200, kind, gamma):
-        w = kind.weight(gamma, em200.lam)
+        w = WEIGHT[kind](gamma, em200.lam)
         ref = math.fsum(float(m) * om * wi for m, om, wi
                         in zip(em200.multiplicity, em200.omega, w))
         assert regularized_sum(em200, gamma, kind).raw == ref
@@ -105,7 +112,7 @@ class TestRegularizedSum:
         pred = divergence_prediction(ball_coeffs, kind).without("g_m1")
         scan = remainder_scan(replace(em200), pred, gammas)
         assert scan.excluded
-        monkeypatch.setattr(casimir, "exact_sum",
+        monkeypatch.setattr(spectrum, "exact_sum",
                             lambda x: math.fsum(np.asarray(x).tolist()))
         assert remainder_scan(replace(em200), pred, gammas).as_dict() \
             == scan.as_dict()
@@ -129,24 +136,24 @@ class TestRegularizedSum:
         # the square-root regulator suppresses the tail far more slowly
         assert g_sqrt > g_heat
 
-    @pytest.mark.parametrize("rtol", [0.5, 0.1])
     @pytest.mark.parametrize("kind", list(RegulatorKind),
                              ids=lambda k: k.name)
-    def test_min_usable_gamma_is_the_sum_boundary(self, em60, kind, rtol):
-        g_min = min_usable_gamma(em60, kind, rtol)
-        regularized_sum(em60, g_min, kind, rtol=rtol)  # no raise
+    def test_min_usable_gamma_is_the_sum_boundary(self, em60, kind):
+        g_min = min_usable_gamma(em60, kind)
+        regularized_sum(em60, g_min, kind)  # no raise
         with pytest.raises(CutoffTooLowError):
-            regularized_sum(em60, np.nextafter(g_min, 0), kind, rtol=rtol)
+            regularized_sum(em60, np.nextafter(g_min, 0), kind)
 
     def test_floor_memo_matches_fresh_searches(self, em60):
         modes = replace(em60)
-        floors = {(kind, rtol): min_usable_gamma(modes, kind, rtol)
-                  for kind in RegulatorKind for rtol in (0.5, 0.1)}
-        assert modes._usable_floor == floors     # one entry per key
-        assert len(set(floors.values())) == 4
-        for (kind, rtol), g_min in floors.items():
-            assert min_usable_gamma(modes, kind, rtol) == g_min
-            assert min_usable_gamma(replace(em60), kind, rtol) == g_min
+        floors = {kind: min_usable_gamma(modes, kind) for kind in RegulatorKind}
+        # one entry per key
+        assert modes._usable_floor == {(kind.value, casimir.REGULATED_RTOL): g
+                                       for kind, g in floors.items()}
+        assert len(set(floors.values())) == 2
+        for kind, g_min in floors.items():
+            assert min_usable_gamma(modes, kind) == g_min
+            assert min_usable_gamma(replace(em60), kind) == g_min
 
 
 class TestRegulatedMemo:
@@ -168,7 +175,7 @@ class TestRegulatedMemo:
             summed.append(len(terms))
             return exact_sum(terms)
 
-        monkeypatch.setattr(casimir, "exact_sum", counted)
+        monkeypatch.setattr(spectrum, "exact_sum", counted)
         min_usable_gamma(replace(em200), kind)
         steps = len(summed)             # one search on a list of its own
         summed.clear()
@@ -184,23 +191,38 @@ class TestRegulatedMemo:
 
     def test_memo_is_bounded_oldest_first(self, em60):
         modes = replace(em60)
-        size = casimir._REGULATED_MEMO_SIZE
+        size = spectrum._SUM_MEMO_SIZE
         grids = [np.geomspace(0.02, 0.5, 60) * (1 + k / 100)
                  for k in range(2 * size // 60 + 1)]
         for gammas in grids:
             for g in gammas:
                 regularized_sum(modes, float(g), RegulatorKind.SQRT)
-                assert len(modes._regulated) <= size
-        keys = [(RegulatorKind.SQRT, float(g)) for g in np.concatenate(grids)]
-        assert list(modes._regulated) == keys[-size:]
+                assert len(modes._sums) <= size
+        keys = [("sqrt", float(g)) for g in np.concatenate(grids)]
+        assert list(modes._sums) == keys[-size:]
+
+    def test_one_bound_over_every_sum(self, em60):
+        # heat-trace, regulated and resolvent keys share the one memo
+        modes = replace(em60)
+        size = spectrum._SUM_MEMO_SIZE
+        keys = []
+        for x in np.geomspace(0.05, 0.5, 110):
+            x = float(x)
+            heat_trace(modes, x)
+            regularized_sum(modes, x, RegulatorKind.HEAT)
+            resolvent2_trace(modes, 100 * x)
+            keys += [("heat_trace", x), ("heat", x), ("resolvent2", 100 * x)]
+            assert len(modes._sums) <= size
+        assert len(keys) > size
+        assert list(modes._sums) == keys[-size:]
 
     def test_copies_start_empty(self, em60, tmp_path):
         modes = replace(em60)
         regularized_sum(modes, 0.02, RegulatorKind.HEAT)
-        assert modes._regulated
+        assert modes._sums
         modes.to_csv(tmp_path / "modes.csv")
         for copy in (replace(modes), ModeList.from_csv(tmp_path / "modes.csv")):
-            assert copy._regulated == {}
+            assert copy._sums == {}
 
 
 class TestRegulatorIntegral:
@@ -351,14 +373,13 @@ class TestRemainderScan:
 
     def test_scan_searches_the_floor_once(self, em60, ball_coeffs,
                                           monkeypatch):
-        parts = casimir._regulated_parts
         calls = []
 
-        def counted(modes, gamma, kind):
-            calls.append(gamma)
-            return parts(modes, gamma, kind)
+        def counted(terms):
+            calls.append(len(terms))
+            return exact_sum(terms)
 
-        monkeypatch.setattr(casimir, "_regulated_parts", counted)
+        monkeypatch.setattr(spectrum, "exact_sum", counted)
         min_usable_gamma(replace(em60), RegulatorKind.SQRT)
         steps = len(calls)              # one search on a list of its own
         calls.clear()
@@ -370,7 +391,10 @@ class TestRemainderScan:
         assert len(calls) == len(gammas) + steps
         calls.clear()
         remainder_scan(modes, pred.without("g_m1"), gammas)
-        assert len(calls) == len(gammas)    # the floor is already known
+        assert not calls                    # every sum is already known
+        modes._sums.clear()
+        remainder_scan(modes, pred.without("g_m1"), gammas)
+        assert len(calls) == len(gammas)    # and so is the floor
 
     @pytest.mark.parametrize("planted", [ValueError, IllPosedFitError])
     def test_next_order_fit_drops_only_ill_posed_extensions(

@@ -282,16 +282,28 @@ def small_run(tmp_path_factory):
     (("coeffs", "--surface", "ellipsoid", "--axes", "1", "1", "nan"),
      "--axes"),
     (("fit", "--trace", "{trace}", "--t-lo", "10"), "window"),
+    (("fit", "--trace", "{trace1}"), "trace1.csv has 1 data row:"),
+    (("fit", "--trace", "{trace5}"), "trace5.csv has 5 data rows:"),
+    (("fit", "--trace", "{trace0}"), "trace0.csv has 0 data rows:"),
+    (("fit", "--trace", "{empty}"), "empty.csv is empty: no header, 0 data"),
 ], ids=["trace-t-lo-nan", "trace-t-points-0", "verify-identity-tol-nan",
         "verify-points-negative", "verify-seed-negative",
         "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
         "modes-radius-negative",
-        "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window"])
+        "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window",
+        "fit-one-row", "fit-five-rows", "fit-header-only", "fit-empty-file"])
 def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
                                     names):
     files = {k: small_run / f for k, f in (
         ("modes", "modes_em.csv"), ("trace", "trace.csv"),
         ("coeffs", "coeffs.json"))}
+    # the trace cut to its header and first rows, and an empty file
+    lines = files["trace"].read_text().splitlines(keepends=True)
+    for rows in (0, 1, 5):
+        files[f"trace{rows}"] = tmp_path / f"trace{rows}.csv"
+        files[f"trace{rows}"].write_text("".join(lines[:rows + 1]))
+    files["empty"] = tmp_path / "empty.csv"
+    files["empty"].write_text("")
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv]

@@ -85,6 +85,18 @@ def single_mode(lam=1.0, mult=1, family="TE", l=1):
         omega_max=math.sqrt(lam) + 1.0)
 
 
+def counted_sums(monkeypatch):
+    """Lengths of the term arrays spectrum sums from now on."""
+    calls = []
+
+    def counted(terms):
+        calls.append(len(terms))
+        return exact_sum(terms)
+
+    monkeypatch.setattr(spectrum, "exact_sum", counted)
+    return calls
+
+
 class TestEnumeration:
     def test_dirichlet_lowest_is_pi_squared(self):
         d = dirichlet_modes(10.0)
@@ -239,14 +251,7 @@ class TestHeatTrace:
 
     def test_trace_raise_then_min_usable_t_searches_once(self, em30,
                                                          monkeypatch):
-        parts = spectrum._heat_parts
-        calls = []
-
-        def counted(modes, t):
-            calls.append(t)
-            return parts(modes, t)
-
-        monkeypatch.setattr(spectrum, "_heat_parts", counted)
+        calls = counted_sums(monkeypatch)
         min_usable_t(replace(em30))
         steps = len(calls)              # one search on a list of its own
         calls.clear()
@@ -278,6 +283,16 @@ class TestHeatTrace:
                 want = mp.gammainc(mp.mpf(1.5), mp.mpf(z))
                 assert abs(upper_gamma_3_2(z) - want) <= 1e-15 * want
 
+    def test_repeated_samples_sum_once(self, em30, monkeypatch):
+        calls = counted_sums(monkeypatch)
+        modes = replace(em30)
+        ts = np.geomspace(0.05, 0.5, 40)
+        first = heat_trace_samples(modes, ts)
+        second = heat_trace_samples(modes, ts)
+        assert len(calls) == 40
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
     def test_samples_vectorised(self, em30):
         ts = np.geomspace(0.05, 0.5, 7)
         t, K, bounds = heat_trace_samples(em30, ts)
@@ -290,6 +305,13 @@ class TestResolvent:
         r = resolvent2_trace(single_mode(lam=1.0), mu=1.0)
         assert r.raw == pytest.approx(0.25, rel=1e-15)
         assert r.tail == 0.0
+
+    def test_repeated_mu_sums_once(self, em30, monkeypatch):
+        calls = counted_sums(monkeypatch)
+        modes = replace(em30)
+        first = resolvent2_trace(modes, 50.0)
+        assert resolvent2_trace(modes, 50.0) == first
+        assert len(calls) == 1
 
     def test_raw_matches_loop_reference(self, em30):
         mu = 50.0
