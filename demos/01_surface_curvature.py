@@ -66,3 +66,10 @@ b = trL_lap_trL_integral(egg, quad).value
 print(f"ellipsoid: integral |grad tr L|^2     = {a:+.9f}")
 print(f"           integral tr L * lap tr L   = {b:+.9f}")
 print(f"           sum (must vanish)          = {a + b:+.2e}")
+# both integrands come from one embedding jet per grid: order 3 carries
+# |grad tr L|^2, order 4 adds lap tr L
+U, V, _ = quad.grid(egg.charts[0])
+g = curvature_grid(egg.charts[0], U, V, order=4)
+print(f"           on one order-4 grid: max |grad tr L|^2 = "
+      f"{g['grad_trL_sq'].max():.4f}, max |lap tr L| = "
+      f"{np.abs(g['lap_trL']).max():.4f}")

@@ -19,12 +19,16 @@ from cavityheat import (
     detection_z,
     divergence_prediction,
     em_modes,
-    mode_count,
     regulator_integral,
     remainder_scan,
     sphere,
 )
-from cavityheat.coefficients import a3_local, compute_moments, em_coefficients
+from cavityheat.coefficients import (
+    a3_local,
+    compute_moments,
+    delta_a3,
+    em_coefficients,
+)
 
 moments = compute_moments(sphere(1.0), QuadratureSpec(order=32))
 coeffs = em_coefficients(moments, TopologyInfo(1, (0,)))
@@ -61,8 +65,9 @@ for n in range(5):
           f"{ri.numeric - ri.asymptote:+.4f}")
 
 print("\n== modes gained by inserting the conducting surface ==")
-report = mode_count(a3_local(moments).value, genus=0)
+# the change of a_3 on inserting the surface is the finite-frequency count
+report = delta_a3(TopologyInfo(1, (0,)), a3_local(moments).value)
 print(f"  ball: count = 2 * {report.a3_local:.4f} - {report.genus} "
-      f"= {report.count:.4f}")
+      f"= {report.value:.4f}")
 print(f"  zero-frequency constant {report.psi_zero_plus}, high-frequency "
       f"plateau {report.delta_phi_constant:+.4f}")

@@ -25,9 +25,10 @@ _SUBMODULES = {
         "IdentityResiduals", "curvature_identity_residuals"),
     "tables": ("consistency_report", "harmonic_form_dims"),
     "coefficients": (
-        "GeometricMoments", "HeatCoefficientSet", "Measurement", "a3_local",
-        "a3_local_kappa_variant", "compute_moments", "delta_a3",
-        "em_coefficients", "form_coefficients", "gauss_bonnet_residual"),
+        "DeltaA3", "GeometricMoments", "HeatCoefficientSet", "Measurement",
+        "PhiExpansion", "a3_local", "a3_local_kappa_variant",
+        "compute_moments", "delta_a3", "em_coefficients",
+        "form_coefficients", "gauss_bonnet_residual", "phi_expansion"),
     "spectrum": (
         "BESSEL", "ModeList", "SphericalBesselContract", "dirichlet_modes",
         "em_modes", "form_modes", "heat_trace", "heat_trace_samples",
@@ -35,11 +36,9 @@ _SUBMODULES = {
         "resolvent2_trace"),
     "asymptotics": ("FitConfig", "FitResult", "fit_coefficients"),
     "casimir": (
-        "DivergencePrediction", "ModeCountReport", "PhiExpansion",
-        "RegulatorKind", "RemainderScan", "detection_z",
-        "divergence_prediction", "min_usable_gamma", "mode_count",
-        "phi_expansion", "regularized_sum", "regulator_integral",
-        "remainder_scan"),
+        "DivergencePrediction", "RegulatorKind", "RemainderScan",
+        "detection_z", "divergence_prediction", "min_usable_gamma",
+        "regularized_sum", "regulator_integral", "remainder_scan"),
     "surfacefile": ("load_surface", "loads_surface"),
     "errors": ("CutoffTooLowError", "SurfaceFileError"),
 }

@@ -24,8 +24,9 @@ tail is at most REGULATED_RTOL = 0.5 times the raw sum.
 
 Related quantities: the single regulator integrals
 int_0^delta t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
-asymptotes, the large-k expansion of the mode generating function
-Phi(k), and the finite-frequency mode count 2*a3_local - genus.
+asymptotes.  The large-k expansion of the mode generating function
+Phi(k) and the finite-frequency mode count 2*a3_local - genus need no
+spectrum; they are coefficients.phi_expansion and coefficients.DeltaA3.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ __all__ = [
     "RemainderScan",
     "remainder_scan",
     "detection_z",
-    "PhiExpansion",
-    "phi_expansion",
-    "ModeCountReport",
-    "mode_count",
 ]
 
 SQPI = math.sqrt(math.pi)
@@ -365,70 +362,3 @@ def detection_z(clean: RemainderScan, defect: RemainderScan):
     chi2_defect = float(resid @ resid)
     chi2_clean = clean.chi2_dof * dof
     return math.sqrt(max(chi2_defect - chi2_clean, 0.0))
-
-
-@dataclass(frozen=True)
-class PhiExpansion:
-    """Large-k expansion of the mode generating function Phi(k).
-
-    Phi(k) = 2 sqrt(pi) a0 i k^3 - sqrt(pi) a1 k^2 ln(-k^2)
-             + i sqrt(pi) a2 k - a3 + O(1/k),
-    defined modulo polynomials in k^2, which makes the constant slot
-    convention dependent; the resolvent normalisation above is reported
-    as is.
-    """
-
-    ik3: float
-    k2_log: float
-    ik: float
-    constant: float
-    caveat: str = ("defined modulo an arbitrary polynomial in k^2; the "
-                   "constant term follows the squared-resolvent route")
-
-    def as_dict(self):
-        return {"i*k^3": self.ik3, "k^2*ln(-k^2)": self.k2_log,
-                "i*k": self.ik, "constant": self.constant,
-                "caveat": self.caveat}
-
-
-def phi_expansion(coeffs) -> PhiExpansion:
-    return PhiExpansion(
-        ik3=2.0 * SQPI * coeffs[0],
-        k2_log=-SQPI * coeffs[1],
-        ik=SQPI * coeffs[2],
-        constant=-coeffs[3],
-    )
-
-
-@dataclass(frozen=True)
-class ModeCountReport:
-    """Finite-frequency modes gained by inserting a conducting surface.
-
-    For a connected dividing surface of genus g, the generating-function
-    difference tends to -2 * a3_local at high frequency while its zero
-    frequency limit is -g, leaving count = 2 * a3_local - g new modes.
-    Cross-check: this equals the a_3 difference delta_a3 computed from
-    the doubled local parts and the three topological constants.
-    """
-
-    a3_local: float
-    genus: int
-    psi_zero_plus: float        # -g, imported zero-frequency constant
-    delta_phi_constant: float   # -2 * a3_local
-    count: float
-
-    def as_dict(self):
-        return {"a3_local": self.a3_local, "genus": self.genus,
-                "psi(0+)": self.psi_zero_plus,
-                "delta_phi_constant": self.delta_phi_constant,
-                "count": self.count}
-
-
-def mode_count(a3_local_value, genus) -> ModeCountReport:
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    a3l = float(a3_local_value)
-    return ModeCountReport(
-        a3_local=a3l, genus=int(genus), psi_zero_plus=-float(genus),
-        delta_phi_constant=-2.0 * a3l, count=2.0 * a3l - genus,
-    )

@@ -9,6 +9,13 @@ ten boundary moments come from one call of the two-level integrator
 :func:`~cavityheat.geometry.quadrature.enclosed_volume`.  The exact
 rational constants live in :mod:`cavityheat.tables`; floats enter only
 in ``_combine``, which forms every linear combination of moments.
+
+The reports read off a_3 and its neighbours live here too, so a
+coefficient report needs no spectrum: the local part ``a3_local`` and
+its flagged variant, :class:`DeltaA3` (the change of a_3 on inserting a
+conducting surface, which is also the finite-frequency mode count) and
+:func:`phi_expansion`, the large-k expansion of the mode generating
+function.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "a3_local_kappa_variant",
     "DeltaA3",
     "delta_a3",
+    "PhiExpansion",
+    "phi_expansion",
 ]
 
 # powers of length carried by each moment, for scaling checks
@@ -80,7 +89,7 @@ class GeometricMoments:
 
 def _boundary_fields(chart, U, V):
     """Area element and the ten boundary integrands from one grid."""
-    g = curvature_grid(chart, U, V, need_grad=True)
+    g = curvature_grid(chart, U, V, order=3)
     t, d = g["trL"], g["detL"]
     return g["w"], {
         "area": np.ones_like(t), "trL": t, "trL2": t * t, "detL": d,
@@ -200,7 +209,10 @@ class DeltaA3:
     ball) are -(g-1)/2, -g/2 and +1/2; they sum to -g, while the local
     parts on the dividing surface double.  Hence delta a_3 =
     2 * a3_local - g, which is also the number of modes gained at finite
-    frequency.
+    frequency (Balian & Duplantier, Ann. Phys. 112 (1978) 165): the
+    generating-function difference tends to the plateau
+    ``delta_phi_constant`` = -2 * a3_local at high frequency, while its
+    zero-frequency limit ``psi_zero_plus`` is -g.
     """
 
     genus: int
@@ -208,6 +220,21 @@ class DeltaA3:
     nonlocal_parts: tuple
     nonlocal_sum: Fraction
     value: float
+
+    @property
+    def psi_zero_plus(self):
+        return -float(self.genus)
+
+    @property
+    def delta_phi_constant(self):
+        return -2.0 * self.a3_local
+
+    def as_dict(self):
+        """The ``mode_count`` block of a coefficient report."""
+        return {"a3_local": self.a3_local, "genus": self.genus,
+                "psi(0+)": self.psi_zero_plus,
+                "delta_phi_constant": self.delta_phi_constant,
+                "count": self.value}
 
 
 def delta_a3(topology: TopologyInfo, a3_local_value) -> DeltaA3:
@@ -222,3 +249,37 @@ def delta_a3(topology: TopologyInfo, a3_local_value) -> DeltaA3:
     a3l = float(a3_local_value)
     return DeltaA3(genus=g, a3_local=a3l, nonlocal_parts=parts,
                    nonlocal_sum=total, value=2.0 * a3l - g)
+
+
+@dataclass(frozen=True)
+class PhiExpansion:
+    """Large-k expansion of the mode generating function Phi(k).
+
+    Phi(k) = 2 sqrt(pi) a0 i k^3 - sqrt(pi) a1 k^2 ln(-k^2)
+             + i sqrt(pi) a2 k - a3 + O(1/k),
+    defined modulo polynomials in k^2, which makes the constant slot
+    convention dependent; the resolvent normalisation above is reported
+    as is.
+    """
+
+    ik3: float
+    k2_log: float
+    ik: float
+    constant: float
+    caveat: str = ("defined modulo an arbitrary polynomial in k^2; the "
+                   "constant term follows the squared-resolvent route")
+
+    def as_dict(self):
+        return {"i*k^3": self.ik3, "k^2*ln(-k^2)": self.k2_log,
+                "i*k": self.ik, "constant": self.constant,
+                "caveat": self.caveat}
+
+
+def phi_expansion(coeffs) -> PhiExpansion:
+    sqpi = math.sqrt(math.pi)
+    return PhiExpansion(
+        ik3=2.0 * sqpi * coeffs[0],
+        k2_log=-sqpi * coeffs[1],
+        ik=sqpi * coeffs[2],
+        constant=-coeffs[3],
+    )

@@ -6,6 +6,15 @@ layer re-exports the classes it raises under its own name.
 """
 
 
+class NumericalError(Exception):
+    """A numerical failure, as opposed to a usage error; the command line
+    exits 2 with ``diagnostics`` on standard error."""
+
+    @property
+    def diagnostics(self):
+        return {"type": type(self).__name__}
+
+
 class ChartError(ValueError):
     """Invalid chart definition or evaluation request."""
 
@@ -19,7 +28,7 @@ class ExpressionError(ChartError):
         super().__init__(message)
 
 
-class SingularChartError(ChartError):
+class SingularChartError(NumericalError, ChartError):
     """The immersion degenerates (|r_u x r_v| ~ 0) at a parameter point."""
 
     def __init__(self, name, u, v, sine):
@@ -30,27 +39,31 @@ class SingularChartError(ChartError):
         )
 
 
-class EvaluationError(ValueError):
+class EvaluationError(NumericalError, ValueError):
     """An integrand produced a non-finite value at a quadrature node."""
 
 
-class OrientationError(ValueError):
+class OrientationError(NumericalError, ValueError):
     """Signed volume came out negative: chart normals are not inward."""
 
 
-class IllPosedFitError(ValueError):
+class IllPosedFitError(NumericalError, ValueError):
     """Design matrix condition number beyond the usable limit."""
 
 
-class CutoffTooLowError(ValueError):
+class CutoffTooLowError(NumericalError, ValueError):
     """The requested trace needs modes beyond the enumeration cutoff."""
 
     def __init__(self, message, minimum_usable):
         super().__init__(message)
         self.minimum_usable = minimum_usable
 
+    @property
+    def diagnostics(self):
+        return {"minimum_usable": self.minimum_usable}
 
-class BracketError(RuntimeError):
+
+class BracketError(NumericalError, RuntimeError):
     """A root bracket lost its sign change: internal contract violation."""
 
 

@@ -1,7 +1,7 @@
 """Surface geometry: charts, curvature, quadrature, tensor identities."""
 
 from .charts import ChartError, SingularChartError, SurfaceChart
-from .curvature import CurvatureSample, curvature_at, curvature_grid, lap_trL_grid
+from .curvature import CurvatureSample, curvature_at, curvature_grid
 from .models import SurfaceModel, TopologyInfo, ellipsoid, sphere, torus
 from .quadrature import (
     EvaluationError,
@@ -21,7 +21,6 @@ __all__ = [
     "CurvatureSample",
     "curvature_at",
     "curvature_grid",
-    "lap_trL_grid",
     "SurfaceModel",
     "TopologyInfo",
     "sphere",

@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from .charts import SingularChartError, SurfaceChart
 
-__all__ = ["CurvatureSample", "curvature_at", "curvature_grid", "lap_trL_grid"]
+__all__ = ["CurvatureSample", "curvature_at", "curvature_grid"]
 
 # |r_u x r_v| / (|r_u||r_v|) below this means the parametrisation is
 # effectively degenerate at the point.
@@ -128,44 +128,37 @@ def _blockwise(fields, u, v):
     return out
 
 
-def curvature_grid(chart: SurfaceChart, u, v, need_grad=False):
-    """Evaluate curvature fields at an array of parameter points.
+def curvature_grid(chart: SurfaceChart, u, v, order=2):
+    """Evaluate the surface fields at an array of parameter points.
 
     u and v broadcast against each other (a quadrature grid passes its
-    open mesh).  Returns a dict of arrays: position ``r``, area element
-    ``w``, inward unit normal ``n``, metric/shape data and, with
-    ``need_grad``, the parameter derivatives ``Hu, Hv`` of tr L plus
-    ``grad_trL_sq``, the squared tangential gradient |grad tr L|^2.
+    open mesh).  One embedding jet of ``order`` (2, 3 or 4) serves every
+    field.  Returns a dict of arrays: position ``r``, area element
+    ``w``, inward unit normal ``n`` and the metric and shape data; order
+    3 adds the parameter derivatives ``Hu, Hv`` of tr L and
+    ``grad_trL_sq``, the squared tangential gradient |grad tr L|^2;
+    order 4 also adds ``lap_trL``, the Laplace-Beltrami of tr L,
+    lap f = (d_u P + d_v Q) / w with the metric fluxes
+    P = (G f_u - F f_v)/w and Q = (E f_v - F f_u)/w.
     """
     def fields(u, v):
-        s = surface_jets(chart, u, v, 3 if need_grad else 2)
+        s = surface_jets(chart, u, v, order)
         out = {name: jet.value for name, jet in s.items()}
-        if need_grad:
+        if order >= 3:
             E, F, G = out["E"], out["F"], out["G"]
             Hu, Hv = s["trL"].derivative(1, 0), s["trL"].derivative(0, 1)
             out["Hu"], out["Hv"] = Hu, Hv
             out["grad_trL_sq"] = ((G * Hu ** 2 - 2.0 * F * Hu * Hv
                                    + E * Hv ** 2) / (E * G - F * F))
+        if order == 4:
+            E, F, G, w = s["E"], s["F"], s["G"], s["w"]
+            Hu, Hv = s["trL"].d(1, 0), s["trL"].d(0, 1)
+            P = (G * Hu - F * Hv) / w
+            Q = (E * Hv - F * Hu) / w
+            out["lap_trL"] = (P.d(1, 0).value + Q.d(0, 1).value) / w.value
         return out
 
     return _blockwise(fields, u, v)
-
-
-def lap_trL_grid(chart: SurfaceChart, u, v):
-    """Laplace-Beltrami of tr L, exact from an order-4 embedding jet.
-
-    lap f = (d_u P + d_v Q) / w  with the metric fluxes
-    P = (G f_u - F f_v)/w and Q = (E f_v - F f_u)/w.
-    """
-    def fields(u, v):
-        s = surface_jets(chart, u, v, 4)
-        E, F, G, w = s["E"], s["F"], s["G"], s["w"]
-        Hu, Hv = s["trL"].d(1, 0), s["trL"].d(0, 1)
-        P = (G * Hu - F * Hv) / w
-        Q = (E * Hv - F * Hu) / w
-        return {"lap": (P.d(1, 0).value + Q.d(0, 1).value) / w.value}
-
-    return _blockwise(fields, u, v)["lap"]
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ def curvature_at(chart: SurfaceChart, u, v, laplacian=False) -> CurvatureSample:
     """
     u = float(u)
     v = float(v)
-    g = curvature_grid(chart, u, v, need_grad=True)
+    g = curvature_grid(chart, u, v, order=4 if laplacian else 3)
     E, F, G, w = g["E"], g["F"], g["G"], g["w"]
     A = frame_matrix(E, F, G, w)
     II = np.array([[g["e"], g["f"]], [g["f"], g["g2"]]])
@@ -222,7 +215,7 @@ def curvature_at(chart: SurfaceChart, u, v, laplacian=False) -> CurvatureSample:
     e1 = g["ru"] / np.sqrt(E)
     e2 = (E * g["rv"] - F * g["ru"]) / (np.sqrt(E) * w)
     grad = A @ np.array([g["Hu"], g["Hv"]])
-    lap = float(lap_trL_grid(chart, u, v)) if laplacian else None
+    lap = float(g["lap_trL"]) if laplacian else None
     return CurvatureSample(
         point=g["r"], e1=e1, e2=e2, normal=g["n"], L=L,
         trL=trL, detL=detL,

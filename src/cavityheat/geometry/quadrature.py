@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EvaluationError, OrientationError
-from .curvature import curvature_grid, lap_trL_grid
+from .curvature import curvature_grid
 from .models import SurfaceModel
 
 __all__ = [
@@ -194,10 +194,11 @@ def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
 def grad_trL_sq_integral(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
     """Integral of |grad tr L|^2 over the boundary (third-order derivatives)."""
 
-    def field(chart, U, V):
-        return curvature_grid(chart, U, V, need_grad=True)["grad_trL_sq"]
+    def fields(chart, U, V):
+        g = curvature_grid(chart, U, V, order=3)
+        return g["w"], {"f": g["grad_trL_sq"]}
 
-    return surface_integral(model, field, quad)
+    return integrate(model, fields, quad)["f"]
 
 
 def trL_lap_trL_integral(model: SurfaceModel,
@@ -209,7 +210,8 @@ def trL_lap_trL_integral(model: SurfaceModel,
     pair a useful cross-check of the derivative pipeline.
     """
 
-    def field(chart, U, V):
-        return curvature_grid(chart, U, V)["trL"] * lap_trL_grid(chart, U, V)
+    def fields(chart, U, V):
+        g = curvature_grid(chart, U, V, order=4)
+        return g["w"], {"f": g["trL"] * g["lap_trL"]}
 
-    return surface_integral(model, field, quad)
+    return integrate(model, fields, quad)["f"]

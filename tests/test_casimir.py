@@ -14,7 +14,7 @@ import pytest
 import cavityheat
 import cavityheat.casimir as casimir
 import cavityheat.spectrum as spectrum
-from cavityheat import QuadratureSpec, TopologyInfo, sphere, torus
+from cavityheat import QuadratureSpec, TopologyInfo, sphere
 from cavityheat.asymptotics import IllPosedFitError
 from cavityheat.casimir import (
     RegulatorKind,
@@ -23,18 +23,11 @@ from cavityheat.casimir import (
     detection_z,
     divergence_prediction,
     min_usable_gamma,
-    mode_count,
-    phi_expansion,
     regularized_sum,
     regulator_integral,
     remainder_scan,
 )
-from cavityheat.coefficients import (
-    a3_local,
-    compute_moments,
-    delta_a3,
-    em_coefficients,
-)
+from cavityheat.coefficients import compute_moments, em_coefficients
 from cavityheat.spectrum import (
     CutoffTooLowError,
     ModeList,
@@ -437,36 +430,3 @@ class TestRemainderScan:
         doc = scan.as_dict()
         assert doc["finite"] is True
         assert len(doc["gammas"]) == len(doc["remainder"])
-
-
-class TestPhiExpansion:
-    def test_unit_ball_values(self, ball_coeffs):
-        phi = phi_expansion(ball_coeffs.values)
-        assert phi.constant == pytest.approx(-5 / 8, rel=1e-12)
-        assert phi.ik == pytest.approx(-4.0 / 3.0, rel=1e-12)
-        assert phi.k2_log == 0.0
-        assert phi.ik3 == pytest.approx(2 * SQPI / (3 * SQPI), rel=1e-12)
-
-    def test_caveat_present(self, ball_coeffs):
-        assert "polynomial" in phi_expansion(ball_coeffs.values).caveat
-
-
-class TestModeCount:
-    def test_ball(self):
-        report = mode_count(0.125, 0)
-        assert report.count == pytest.approx(0.25)
-        assert report.psi_zero_plus == 0.0
-        assert report.delta_phi_constant == pytest.approx(-0.25)
-
-    def test_zero_crossing(self):
-        assert mode_count(1.0, 2).count == pytest.approx(0.0)
-
-    def test_agrees_with_delta_a3_exactly(self):
-        m = compute_moments(torus(2.0, 0.5), QuadratureSpec(order=16))
-        a3l = a3_local(m).value
-        topo = TopologyInfo(1, (1,))
-        assert mode_count(a3l, 1).count == delta_a3(topo, a3l).value
-
-    def test_negative_genus_rejected(self):
-        with pytest.raises(ValueError):
-            mode_count(0.125, -1)

@@ -8,10 +8,10 @@ import pytest
 from cavityheat.geometry import (
     SingularChartError,
     SurfaceChart,
+    curvature,
     curvature_at,
     curvature_grid,
     ellipsoid,
-    lap_trL_grid,
     sphere,
     torus,
 )
@@ -150,7 +150,7 @@ class TestInvariants:
     def test_grid_matches_pointwise(self):
         chart = torus(2.0, 0.5).charts[0]
         U, V = np.meshgrid([0.3, 1.4], [0.5, 2.5], indexing="ij")
-        g = curvature_grid(chart, U, V, need_grad=True)
+        g = curvature_grid(chart, U, V, order=3)
         for i in range(2):
             for j in range(2):
                 c = curvature_at(chart, U[i, j], V[i, j])
@@ -171,5 +171,18 @@ class TestInvariants:
         lap = sp.diff(s * sp.diff(H, uu), uu) / (r0**2 * s)
         for u in [0.4, 1.3, 2.9, 4.4]:
             want = float(lap.subs(uu, u))
-            got = float(lap_trL_grid(chart, u, 0.7))
+            got = float(curvature_grid(chart, u, 0.7, order=4)["lap_trL"])
             assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+    def test_laplacian_sample_is_one_evaluation(self, monkeypatch):
+        orders = []
+        surface_jets = curvature.surface_jets
+
+        def counted(chart, u, v, order):
+            orders.append(order)
+            return surface_jets(chart, u, v, order)
+
+        monkeypatch.setattr(curvature, "surface_jets", counted)
+        sample = curvature_at(torus(2.0, 0.5).charts[0], 0.4, 0.7,
+                              laplacian=True)
+        assert orders == [4] and sample.lap_trL is not None

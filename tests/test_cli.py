@@ -15,6 +15,7 @@ from cavityheat.errors import (
     SingularChartError,
 )
 from cavityheat.spectrum import ModeList
+from test_identities import plant_tr_Pab_Pab
 
 BAD_TOPOLOGY_SURFACE = """\
 schema 1
@@ -59,6 +60,15 @@ class TestCoeffs:
         doc = json.loads((tmp_path / "coeffs.json").read_text())
         assert doc["surface"]["genera"] == [1]
         assert doc["gauss_bonnet"]["ok"]
+
+    def test_manifest_names_the_command_once(self, tmp_path):
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        manifest = json.loads((tmp_path / "coeffs.json").read_text())[
+            "manifest"]
+        assert manifest["command"][:2] == ["cavityheat", "coeffs"]
+        assert "_command" not in manifest["config"]
+        assert manifest["config"]["quad_order"] == 16
 
     def test_every_value_carries_error(self, tmp_path):
         run(tmp_path, "coeffs", "--surface", "sphere")
@@ -107,8 +117,13 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["{", "{}", None],
-                             ids=["malformed-json", "no-em-values", "missing"])
+    @pytest.mark.parametrize("text", [
+        "{", "{}", None,
+        '{"em": {"values": [0.1, 0, -0.7, NaN, 0, 0]}}',
+        '{"em": {"values": [0.1, 0, -0.7, Infinity, 0, 0]}}',
+        '{"em": {"values": [0.1, 0, -0.7, -Infinity, 0, 0]}}',
+    ], ids=["malformed-json", "no-em-values", "missing", "nan-value",
+            "inf-value", "minus-inf-value"])
     def test_bad_coeffs_file_exits_1(self, tmp_path, capsys, text):
         assert run(tmp_path, "modes", "--omega-max", 10) == 0
         coeffs = tmp_path / "coeffs.json"
@@ -119,6 +134,7 @@ class TestUsageErrors:
                    "--coeffs", coeffs) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "casimir.json").exists()
 
     @pytest.mark.parametrize("edit", [
         ("csv", lambda text: text.replace(text.splitlines()[1].split(",")[-1],
@@ -270,7 +286,6 @@ def small_run(tmp_path_factory):
 @pytest.mark.parametrize("argv, names", [
     (("trace", "--modes", "{modes}", "--t-lo", "nan"), "--t-lo"),
     (("trace", "--modes", "{modes}", "--t-points", "0"), "--t-points"),
-    (("verify", "--identity-tol", "nan"), "--identity-tol"),
     (("verify", "--points", "-1"), "--points"),
     (("verify", "--seed", "-1"), "--seed"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
@@ -286,12 +301,14 @@ def small_run(tmp_path_factory):
     (("fit", "--trace", "{trace5}"), "trace5.csv has 5 data rows:"),
     (("fit", "--trace", "{trace0}"), "trace0.csv has 0 data rows:"),
     (("fit", "--trace", "{empty}"), "empty.csv is empty: no header, 0 data"),
-], ids=["trace-t-lo-nan", "trace-t-points-0", "verify-identity-tol-nan",
+    (("fit", "--trace", "{xy}"), "xy.csv: columns x,y; expected t,K,bound"),
+], ids=["trace-t-lo-nan", "trace-t-points-0",
         "verify-points-negative", "verify-seed-negative",
         "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
         "modes-radius-negative",
         "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window",
-        "fit-one-row", "fit-five-rows", "fit-header-only", "fit-empty-file"])
+        "fit-one-row", "fit-five-rows", "fit-header-only", "fit-empty-file",
+        "fit-other-columns"])
 def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
                                     names):
     files = {k: small_run / f for k, f in (
@@ -304,6 +321,10 @@ def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
         files[f"trace{rows}"].write_text("".join(lines[:rows + 1]))
     files["empty"] = tmp_path / "empty.csv"
     files["empty"].write_text("")
+    # two of the trace's columns under other names
+    files["xy"] = tmp_path / "xy.csv"
+    files["xy"].write_text("x,y\n" + "".join(
+        ",".join(line.split(",")[:2]) + "\n" for line in lines[1:]))
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv]
@@ -392,3 +413,14 @@ class TestPipeline:
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["failures"] == []
         assert all(doc["report"]["exact_relations"].values())
+
+    def test_verify_catches_a_planted_relative_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # 1e-8 of one right-side term is below any fixed residual bound
+        # of 1e-6 but far above the rounding model of the residuals
+        plant_tr_Pab_Pab(monkeypatch, 1e-8)
+        assert run(tmp_path, "verify", "--seed", 7, "--points", 2,
+                   "--quad-order", 24) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["diagnostics"]["failures"] == ["identity:ellipsoid",
+                                                  "identity:torus"]

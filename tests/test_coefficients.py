@@ -8,6 +8,7 @@ with tr L = 2, det L = 1, area 4 pi, volume 4 pi / 3, genus 0:
     a_4 = -16/(315 sqrt(pi))  a_5 = 1/320
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -28,6 +29,7 @@ from cavityheat.coefficients import (
     em_coefficients,
     form_coefficients,
     gauss_bonnet_residual,
+    phi_expansion,
 )
 from cavityheat.geometry import (
     EvaluationError,
@@ -93,8 +95,8 @@ class TestMoments:
             self, model, monkeypatch):
         grid = coefficients.curvature_grid
 
-        def nan_at_one_node(chart, U, V, need_grad=False):
-            g = dict(grid(chart, U, V, need_grad=need_grad))
+        def nan_at_one_node(chart, U, V, order=2):
+            g = dict(grid(chart, U, V, order=order))
             g["trL"] = np.array(g["trL"])
             g["trL"][1, 2] = np.nan
             return g
@@ -236,6 +238,49 @@ class TestDeltaA3:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             delta_a3(TopologyInfo(2, (0, 0)), 0.25)
+
+
+class TestModeCount:
+    """delta a_3 read as the finite-frequency mode count."""
+
+    def test_ball(self):
+        report = delta_a3(TopologyInfo(1, (0,)), 0.125)
+        assert report.as_dict()["count"] == pytest.approx(0.25)
+        assert report.psi_zero_plus == 0.0
+        assert report.delta_phi_constant == pytest.approx(-0.25)
+        # the report has always written psi(0+) = -g as -0.0 for g = 0
+        assert '"psi(0+)": -0.0' in json.dumps(report.as_dict())
+
+    def test_zero_crossing(self):
+        report = delta_a3(TopologyInfo(1, (2,)), 1.0)
+        assert report.as_dict()["count"] == pytest.approx(0.0)
+
+    def test_block_is_psi_minus_plateau(self, torus_moments):
+        a3l = a3_local(torus_moments).value
+        report = delta_a3(TopologyInfo(1, (1,)), a3l)
+        assert report.as_dict() == {
+            "a3_local": a3l, "genus": 1, "psi(0+)": -1.0,
+            "delta_phi_constant": -2.0 * a3l, "count": 2.0 * a3l - 1}
+
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError):
+            delta_a3(TopologyInfo(1, (-1,)), 0.125)
+
+
+class TestPhiExpansion:
+    @pytest.fixture(scope="class")
+    def ball_coeffs(self, ball_moments):
+        return em_coefficients(ball_moments, TopologyInfo(1, (0,)))
+
+    def test_unit_ball_values(self, ball_coeffs):
+        phi = phi_expansion(ball_coeffs.values)
+        assert phi.constant == pytest.approx(-5 / 8, rel=1e-12)
+        assert phi.ik == pytest.approx(-4.0 / 3.0, rel=1e-12)
+        assert phi.k2_log == 0.0
+        assert phi.ik3 == pytest.approx(2 * SQPI / (3 * SQPI), rel=1e-12)
+
+    def test_caveat_present(self, ball_coeffs):
+        assert "polynomial" in phi_expansion(ball_coeffs.values).caveat
 
 
 @settings(max_examples=25, deadline=None)

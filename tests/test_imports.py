@@ -17,10 +17,10 @@ SRC = str(Path(cavityheat.__file__).resolve().parents[1])
 HEAVY = ("numpy", "scipy", "scipy.integrate", "sympy")
 
 
-def loaded_after(code, cwd):
-    """The HEAVY modules a fresh interpreter holds after running code."""
+def loaded_after(code, cwd, modules=HEAVY):
+    """Those of ``modules`` a fresh interpreter holds after running code."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], cwd=cwd,
                          env={**os.environ, "PYTHONPATH": path},
@@ -63,6 +63,16 @@ def test_subcommand_footprint(pipeline_dir, argv, absent):
     assert not loaded_after(code, pipeline_dir) & absent
 
 
+def test_coeffs_loads_no_spectral_layer(pipeline_dir):
+    # the a_3 reports of a coefficient report live in coefficients
+    code = ("from cavityheat.cli import main\nassert main(['coeffs', "
+            "'--surface', 'torus', '--quad-order', '16', '--out', 'c']) == 0")
+    layers = ("cavityheat.coefficients", "cavityheat.casimir",
+              "cavityheat.spectrum", "cavityheat.asymptotics")
+    assert loaded_after(code, pipeline_dir, layers) == {
+        "cavityheat.coefficients"}
+
+
 def test_scipy_loads_at_the_first_bessel_evaluation(tmp_path):
     code = "from cavityheat.spectrum import ModeList, heat_trace"
     assert "scipy" not in loaded_after(code, tmp_path)
@@ -102,3 +112,28 @@ def test_every_public_name_resolves():
 def test_error_classes_are_shared(name, module):
     assert getattr(importlib.import_module(module), name) \
         is getattr(errors, name)
+
+
+@pytest.mark.parametrize("name, base", [
+    ("CutoffTooLowError", ValueError),
+    ("BracketError", RuntimeError),
+    ("OrientationError", ValueError),
+    ("EvaluationError", ValueError),
+    ("IllPosedFitError", ValueError),
+    ("SingularChartError", errors.ChartError),
+])
+def test_numerical_classes_share_one_base(name, base):
+    cls = getattr(errors, name)
+    assert issubclass(cls, errors.NumericalError) and issubclass(cls, base)
+
+
+def test_usage_classes_are_not_numerical():
+    from cavityheat.cli import ToleranceFailure
+
+    assert issubclass(ToleranceFailure, errors.NumericalError)
+    for cls in (errors.ChartError, errors.ExpressionError,
+                errors.SurfaceFileError):
+        assert not issubclass(cls, errors.NumericalError)
+    assert errors.CutoffTooLowError("m", 0.5).diagnostics == {
+        "minimum_usable": 0.5}
+    assert errors.BracketError("m").diagnostics == {"type": "BracketError"}

@@ -65,11 +65,11 @@ def test_open_mesh_and_blocks_change_no_value(monkeypatch):
     chart = torus(2.0, 0.5).charts[0]
     U, V, _ = QuadratureSpec(order=8).grid(chart)
     assert U.shape == (16, 1) and V.shape == (1, 16)
-    sparse = curvature.curvature_grid(chart, U, V, need_grad=True)
+    sparse = curvature.curvature_grid(chart, U, V, order=4)
     full = curvature.curvature_grid(chart, *np.broadcast_arrays(U, V),
-                                    need_grad=True)
+                                    order=4)
     monkeypatch.setattr(curvature, "_BLOCK", 40)
-    blocked = curvature.curvature_grid(chart, U, V, need_grad=True)
+    blocked = curvature.curvature_grid(chart, U, V, order=4)
     for name, value in sparse.items():
         assert np.array_equal(value, full[name]), name
         assert np.array_equal(value, blocked[name]), name

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cavityheat
-from cavityheat.geometry import curvature
+from cavityheat.geometry import curvature, quadrature
 from cavityheat.coefficients import compute_moments
 from cavityheat.geometry.quadrature import gauss_legendre
 from cavityheat.geometry import (
@@ -138,6 +138,28 @@ class TestGradLaplacianPair:
         assert abs(grad_trL_sq_integral(sphere(1.0), Q16).value) < 1e-20
         assert abs(trL_lap_trL_integral(sphere(1.0), Q16).value) < 1e-9
 
+    @pytest.mark.parametrize("integral, order", [
+        (grad_trL_sq_integral, 3), (trL_lap_trL_integral, 4)],
+        ids=["grad", "lap"])
+    def test_one_evaluation_per_level(self, monkeypatch, integral, order):
+        # a one-chart model at two levels: one grid and one embedding
+        # jet per level, the area element included
+        grids, jets = [], []
+        grid, surface_jets = quadrature.curvature_grid, curvature.surface_jets
+
+        def counted_grid(chart, U, V, **kw):
+            grids.append(kw)
+            return grid(chart, U, V, **kw)
+
+        def counted_jets(chart, u, v, order):
+            jets.append(order)
+            return surface_jets(chart, u, v, order)
+
+        monkeypatch.setattr(quadrature, "curvature_grid", counted_grid)
+        monkeypatch.setattr(curvature, "surface_jets", counted_jets)
+        integral(ellipsoid(1.0, 1.3, 1.7), Q16)
+        assert len(grids) == 2 and jets == [order, order]
+
 
 @pytest.mark.parametrize("order", [16, 32, 64])
 @pytest.mark.parametrize("model", [sphere(1.0), ellipsoid(1.0, 1.0, 2.0),
@@ -222,13 +244,13 @@ class TestGaussLegendre:
 # faults of the third evaluation of a 65,536-node grid, in a fresh process
 _REPEAT_FAULTS = """
 import resource
-from cavityheat.geometry import QuadratureSpec, curvature_grid, lap_trL_grid, torus
+from cavityheat.geometry import QuadratureSpec, curvature_grid, torus
 chart = torus(2.0, 0.5).charts[0]
 U, V, _ = QuadratureSpec(order=128).grid(chart)
 for _ in range(3):
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    curvature_grid(chart, U, V, need_grad=True)
-    lap_trL_grid(chart, U, V)
+    curvature_grid(chart, U, V, order=3)
+    curvature_grid(chart, U, V, order=4)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 """
 
