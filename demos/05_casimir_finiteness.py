@@ -60,7 +60,7 @@ for kind in (RegulatorKind.HEAT, RegulatorKind.SQRT):
 print("== regulator integrals int_0^1 t^-1/2 (t+g)^((n-5)/2) dt, g = 1e-6 ==")
 print("   n     numeric          leading asymptote    difference (O(1))")
 for n in range(5):
-    ri = regulator_integral(n, 1e-6, delta=1.0)
+    ri = regulator_integral(n, 1e-6)
     print(f"   {n}   {ri.numeric:.6e}   {ri.asymptote:.6e}   "
           f"{ri.numeric - ri.asymptote:+.4f}")
 

@@ -23,7 +23,7 @@ scan on one grid cost one set of sums.  A point is usable while its
 tail is at most REGULATED_RTOL = 0.5 times the raw sum.
 
 Related quantities: the single regulator integrals
-int_0^delta t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
+int_0^1 t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
 asymptotes.  The large-k expansion of the mode generating function
 Phi(k) and the finite-frequency mode count 2*a3_local - genus need no
 spectrum; they are coefficients.phi_expansion and coefficients.DeltaA3.
@@ -102,16 +102,15 @@ def min_usable_gamma(modes: ModeList, kind: RegulatorKind):
 class RegulatorIntegral:
     n: int
     gamma: float
-    delta: float
     numeric: float
     asymptote: float
 
 
-def regulator_integral(n, gamma, delta=1.0) -> RegulatorIntegral:
-    """int_0^delta t^-1/2 (t + gamma)^((n-5)/2) dt and its leading form.
+def regulator_integral(n, gamma) -> RegulatorIntegral:
+    """int_0^1 t^-1/2 (t + gamma)^((n-5)/2) dt and its leading form.
 
-    With t = s^2 the integral is 2 int_0^sqrt(delta) (s^2 + g)^((n-5)/2)
-    ds, elementary for every n.  The antiderivatives in s:
+    With t = s^2 the integral is 2 int_0^1 (s^2 + g)^((n-5)/2) ds,
+    elementary for every n.  The antiderivatives in s:
 
         n = 0:  s (2 s^2 + 3 g) / (3 g^2 (s^2 + g)^(3/2))
         n = 1:  s / (2 g (s^2 + g)) + atan(s / sqrt(g)) / (2 g^(3/2))
@@ -122,19 +121,20 @@ def regulator_integral(n, gamma, delta=1.0) -> RegulatorIntegral:
     All vanish at s = 0 and every term is positive, so each value is
     good to a few ulp.  Leading asymptotes as gamma -> 0: (4/3) g^-2,
     (pi/2) g^-3/2, 2 g^-1, pi g^-1/2, -log g for n = 0..4, each modulo
-    O(1) set by the (arbitrary, fixed) delta.
+    O(1) set by the (arbitrary, fixed) upper limit 1.
     """
-    if not 0 < gamma < delta:
-        raise ValueError("need 0 < gamma << delta")
+    if not 0 < gamma < 1:
+        raise ValueError("need 0 < gamma << 1")
     if n not in range(5):
         raise ValueError("n must be 0..4")
-    s, r, h = math.sqrt(delta), math.sqrt(gamma), delta + gamma
+    # the antiderivatives at s = 1
+    r, h = math.sqrt(gamma), 1.0 + gamma
     val = 2.0 * (
-        s * (2 * delta + 3 * gamma) / (3 * gamma**2 * h**1.5),
-        s / (2 * gamma * h) + math.atan(s / r) / (2 * gamma**1.5),
-        s / (gamma * math.sqrt(h)),
-        math.atan(s / r) / r,
-        math.asinh(s / r),
+        (2.0 + 3 * gamma) / (3 * gamma**2 * h**1.5),
+        1.0 / (2 * gamma * h) + math.atan(1.0 / r) / (2 * gamma**1.5),
+        1.0 / (gamma * math.sqrt(h)),
+        math.atan(1.0 / r) / r,
+        math.asinh(1.0 / r),
     )[n]
     asym = {
         0: (4.0 / 3.0) * gamma ** -2,
@@ -143,8 +143,7 @@ def regulator_integral(n, gamma, delta=1.0) -> RegulatorIntegral:
         3: math.pi * gamma ** -0.5,
         4: -math.log(gamma),
     }[n]
-    return RegulatorIntegral(n=n, gamma=gamma, delta=delta,
-                             numeric=val, asymptote=asym)
+    return RegulatorIntegral(n=n, gamma=gamma, numeric=val, asymptote=asym)
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,12 @@ SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse defaults to 2, which this tool
-    # reserves for numerical-tolerance failures)
+    # usage problems exit 1 through main's ValueError branch (argparse
+    # defaults to 2, which this tool reserves for numerical-tolerance
+    # failures)
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit1(message)
-
-
-class SystemExit1(Exception):
-    pass
+        raise ValueError(message)
 
 
 def positive_float(text):
@@ -151,6 +148,7 @@ def _cmd_coeffs(args, parser):
         em_coefficients,
         form_coefficients,
         gauss_bonnet_residual,
+        gauss_bonnet_tolerance,
         phi_expansion,
     )
     from .geometry import QuadratureSpec
@@ -166,7 +164,7 @@ def _cmd_coeffs(args, parser):
     forms = {f"p{p}": form_coefficients(p, moments).as_dict() for p in range(4)}
     checks = consistency_report(topo)
     gb = gauss_bonnet_residual(moments, topo)
-    gb_tol = max(1e-8, 10.0 * moments.detL.error)
+    gb_tol = gauss_bonnet_tolerance(gb)
     a3l = a3_local(moments)
     kappa = a3_local_kappa_variant(moments)
 
@@ -248,23 +246,33 @@ def _cmd_fit(args, parser):
     from .asymptotics import CONDITION_REPORT, FitConfig, fit_coefficients
 
     t0 = time.time()
-    lines = Path(args.trace).read_text().splitlines()
-    if not any(line.strip() for line in lines):
-        raise SystemExit1(f"{args.trace} is empty: no header, 0 data rows")
+    lines = [line for line in Path(args.trace).read_text().splitlines()
+             if line.strip()]
+    if not lines:
+        raise ValueError(f"{args.trace} is empty: no header, 0 data rows")
+    # field counts of the rows numpy reads: the header, then the text
+    # before any '#' in each later line
+    body = (line.split("#")[0] for line in lines[1:])
+    fields = [text.count(",") + 1
+              for text in [lines[0], *filter(str.strip, body)]]
+    i = next((i for i, n in enumerate(fields) if n != fields[0]), None)
+    if i is not None:
+        raise ValueError(f"{args.trace}: data row {i} has {fields[i]} "
+                         f"fields, the header {fields[0]}")
     rows = np.genfromtxt(lines, delimiter=",", names=True)
     columns = rows.dtype.names or ()
     if not {"t", "K", "bound"} <= set(columns):
-        raise SystemExit1(f"{args.trace}: columns {','.join(columns)}; "
-                          "expected t,K,bound as written by 'trace'")
+        raise ValueError(f"{args.trace}: columns {','.join(columns)}; "
+                         "expected t,K,bound as written by 'trace'")
     t, K, bound = (np.atleast_1d(rows[c]) for c in ("t", "K", "bound"))
     # a non-numeric field reads as NaN
     ok = (np.isfinite(t) & (t > 0) & np.isfinite(K) & np.isfinite(bound)
           & (bound >= 0))
     if not ok.all():
         i = int(np.argmin(ok))
-        raise SystemExit1(f"{args.trace}: data row {i + 1} needs finite t > 0,"
-                          f" K and bound >= 0, got t={t[i]:g}, K={K[i]:g}, "
-                          f"bound={bound[i]:g}")
+        raise ValueError(f"{args.trace}: data row {i + 1} needs finite t > 0,"
+                         f" K and bound >= 0, got t={t[i]:g}, K={K[i]:g}, "
+                         f"bound={bound[i]:g}")
     keep = np.ones(len(t), dtype=bool)
     if args.t_lo is not None:
         keep &= t >= args.t_lo
@@ -281,8 +289,8 @@ def _cmd_fit(args, parser):
         n = len(samples[0])
         where = ("" if keep.all() else
                  f" in the window [{args.t_lo}, {args.t_hi}]")
-        raise SystemExit1(f"{args.trace} has {n} data row{'s' * (n != 1)}"
-                          f"{where}: {err}") from None
+        raise ValueError(f"{args.trace} has {n} data row{'s' * (n != 1)}"
+                         f"{where}: {err}") from None
     result = fit_coefficients(samples, config)
     payload = {"schema_version": SCHEMA_VERSION,
                "fit": result.as_dict(),
@@ -303,25 +311,25 @@ def _em_values(path):
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
-        raise SystemExit1(f"{path}: malformed JSON ({err})") from None
+        raise ValueError(f"{path}: malformed JSON ({err})") from None
     try:
         values = [float(v) for v in doc["em"]["values"]]
     except (KeyError, TypeError, ValueError):
         values = []
     if len(values) != 6:
-        raise SystemExit1(f"{path}: no em.values list of six coefficients; "
-                          "expected the report written by 'coeffs'")
+        raise ValueError(f"{path}: no em.values list of six coefficients; "
+                         "expected the report written by 'coeffs'")
     if not all(map(math.isfinite, values)):
-        raise SystemExit1(f"{path}: em.values must be finite, got {values}")
+        raise ValueError(f"{path}: em.values must be finite, got {values}")
     return values
 
 
 def _cmd_casimir(args, parser):
-    # regulator_integral needs 0 < gamma < delta = 1; checked before any
+    # regulator_integral needs 0 < gamma < 1; checked before any
     # file is written
     if not 0 < args.gamma_lo < min(1.0, args.gamma_hi):
-        raise SystemExit1(f"--gamma-lo {args.gamma_lo:g} must lie in "
-                          "(0, min(1, --gamma-hi))")
+        raise ValueError(f"--gamma-lo {args.gamma_lo:g} must lie in "
+                         "(0, min(1, --gamma-hi))")
     from .casimir import (
         RegulatorKind,
         divergence_prediction,
@@ -360,7 +368,11 @@ def _cmd_casimir(args, parser):
 
 
 def _cmd_verify(args, parser):
-    from .coefficients import compute_moments, gauss_bonnet_residual
+    from .coefficients import (
+        compute_moments,
+        gauss_bonnet_residual,
+        gauss_bonnet_tolerance,
+    )
     from .geometry import QuadratureSpec, ellipsoid, sphere, torus
     from .geometry.identities import curvature_identity_residuals
     from .tables import consistency_report
@@ -397,7 +409,7 @@ def _cmd_verify(args, parser):
         moments = compute_moments(model, QuadratureSpec(order=args.quad_order))
         gb = gauss_bonnet_residual(moments, model.topology)
         report["gauss_bonnet"][model.name] = gb.value
-        if abs(gb.value) > 1e-8:
+        if abs(gb.value) > gauss_bonnet_tolerance(gb):
             failures.append(f"gauss_bonnet:{model.name}")
 
     payload = {"schema_version": SCHEMA_VERSION, "report": report,
@@ -499,16 +511,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._command = ["cavityheat"] + argv
         return args.func(args, parser)
-    except SystemExit1 as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except errors.NumericalError as err:
         print(json.dumps({"error": str(err), "diagnostics": err.diagnostics},
                          sort_keys=True), file=sys.stderr)
         return 2
     except (OSError, ValueError) as err:
-        # unreadable or out-of-domain input (SurfaceFileError included):
-        # a usage error
+        # a usage error, unreadable or out-of-domain input
+        # (SurfaceFileError included); NumericalErrors that are also
+        # ValueErrors were caught above and exit 2
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,13 @@ import numpy as np
 from .geometry import QuadratureSpec, SurfaceModel, TopologyInfo
 from .geometry.curvature import curvature_grid
 from .geometry.quadrature import Measurement, enclosed_volume, integrate
-from .tables import MOMENT_SLOTS, em_exact, em_topology_term, form_exact
+from .tables import (
+    EM_EXACT,
+    FOUR_PI_POWER,
+    MOMENT_SLOTS,
+    em_topology_term,
+    form_exact,
+)
 
 __all__ = [
     "Measurement",
@@ -39,6 +45,7 @@ __all__ = [
     "em_coefficients",
     "form_coefficients",
     "gauss_bonnet_residual",
+    "gauss_bonnet_tolerance",
     "a3_local",
     "a3_local_kappa_variant",
     "DeltaA3",
@@ -140,15 +147,18 @@ class HeatCoefficientSet:
         )
 
 
-def _combine(moments, coeffs):
-    """Value and error of sum_slot c * moment(slot), for ``{slot: c}``."""
-    terms = [(float(c), moments[slot]) for slot, c in coeffs.items()]
+def _combine(moments, coeffs, power=0):
+    """Value and error of sum_slot c (4 pi)^power moment(slot), for
+    ``{slot: c}``; each c becomes one float before the sum."""
+    scale = (4.0 * math.pi) ** float(power)
+    terms = [(float(c) * scale, moments[slot]) for slot, c in coeffs.items()]
     return Measurement(sum(c * m.value for c, m in terms),
                        sum(abs(c) * m.error for c, m in terms))
 
 
 def _assemble(exact_map, moments):
-    parts = [_combine(moments, exact_map[n]) for n in range(6)]
+    parts = [_combine(moments, exact_map[n], FOUR_PI_POWER[n])
+             for n in range(6)]
     return [p.value for p in parts], [p.error for p in parts]
 
 
@@ -159,7 +169,7 @@ def em_coefficients(moments: GeometricMoments,
     a_1 is exactly zero; a_3 combines the local curvature integral with
     the topological constant 1 - (1/2) sum_i (1 + g_i).
     """
-    values, errors = _assemble(em_exact(), moments)
+    values, errors = _assemble(EM_EXACT, moments)
     values[1], errors[1] = 0.0, 0.0
     values[3] += float(em_topology_term(topology))
     return HeatCoefficientSet("em", tuple(values), tuple(errors))
@@ -178,13 +188,22 @@ def gauss_bonnet_residual(moments: GeometricMoments,
     return Measurement(moments.detL.value - target, moments.detL.error)
 
 
+def gauss_bonnet_tolerance(residual: Measurement) -> float:
+    """Pass bound on |residual|: ten quadrature errors, never below 1e-8.
+
+    A wrong declared genus moves the residual by 4 pi per unit of genus,
+    far above either bound.
+    """
+    return max(1e-8, 10.0 * residual.error)
+
+
 def a3_local(moments: GeometricMoments) -> Measurement:
     """Local (curvature-integral) part of the electromagnetic a_3.
 
     (1/64)(4 pi)^-1 * integral(3 (tr L)^2 - 4 det L); dimensionless and
     scale invariant.
     """
-    return _combine(moments, em_exact()[3])
+    return _combine(moments, EM_EXACT[3], FOUR_PI_POWER[3])
 
 
 def a3_local_kappa_variant(moments: GeometricMoments) -> Measurement:

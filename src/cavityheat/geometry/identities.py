@@ -56,6 +56,8 @@ IDENTITY_NAMES = (
 # the residual model: a few units of rounding, in the working precision,
 # on the scale of the largest curvature term, (1 + max |kappa|)^4
 _ROUNDING = 64.0 * float(np.finfo(np.longdouble).eps)
+# a residual is a violation beyond this many times the model
+_SAFETY = 100.0
 
 
 def _dot(a, b):
@@ -221,9 +223,9 @@ class IdentityResiduals:
     def max_residual(self):
         return max(self.residuals.values())
 
-    def violations(self, safety=100.0):
+    def violations(self):
         """Identities whose residual exceeds the rounding-error model."""
-        tol = safety * self.error_model
+        tol = _SAFETY * self.error_model
         return {k: v for k, v in self.residuals.items() if v > tol}
 
     def __getitem__(self, name):

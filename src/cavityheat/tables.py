@@ -9,9 +9,9 @@ constants; this module stores those constants and the derived
 electromagnetic combination, and proves their mutual consistency in
 pure rational arithmetic (no floating point anywhere).
 
-Every value is represented as ``rational * (4*pi)**exponent`` with a
-Fraction rational and a half-integer exponent, so table transcription
-errors cannot hide behind rounding.
+Every constant is a plain Fraction, and each order a_n carries one
+power of 4 pi, ``FOUR_PI_POWER[n]``, shared by all of its entries, so
+table transcription errors cannot hide behind rounding.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "FourPiMultiple",
     "MOMENT_SLOTS",
-    "CoefficientTable",
     "TABLE",
+    "FOUR_PI_POWER",
+    "EM_EXACT",
     "form_exact",
-    "em_exact",
     "em_topology_term",
     "harmonic_form_dims",
     "ConsistencyCheck",
@@ -43,73 +42,8 @@ MOMENT_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class FourPiMultiple:
-    """Exact number of the form rational * (4*pi)**exponent."""
-
-    rational: Fraction
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-
-    def __add__(self, other):
-        if self.rational == 0:
-            return other
-        if other.rational == 0:
-            return self
-        if self.exponent != other.exponent:
-            raise ValueError("cannot add different powers of 4*pi exactly")
-        return FourPiMultiple(self.rational + other.rational, self.exponent)
-
-    def __sub__(self, other):
-        return self + FourPiMultiple(-other.rational, other.exponent)
-
-    def __mul__(self, k):
-        return FourPiMultiple(self.rational * Fraction(k), self.exponent)
-
-    def __eq__(self, other):
-        if self.rational == 0 and other.rational == 0:
-            return True
-        return self.rational == other.rational and self.exponent == other.exponent
-
-    @property
-    def is_zero(self):
-        return self.rational == 0
-
-    def __float__(self):
-        import math
-        return float(self.rational) * (4.0 * math.pi) ** float(self.exponent)
-
-    def __repr__(self):
-        return f"{self.rational}*(4pi)^{self.exponent}"
-
-
-def _fpm(rational, exponent):
-    return FourPiMultiple(Fraction(rational), Fraction(exponent))
-
-
-ZERO = _fpm(0, 0)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The integer c-constants per form degree, plus rational prefactors.
-
-    ``a_n^(p) = prefactor_n * sum_slots c_n,slot^(p) * moment_slot`` with
-    prefactors 1, 1/4, 1/3, 1/384, 1/315, 1/245760 carrying (4 pi)
-    powers -3/2, -1, -3/2, -1, -3/2, -1 respectively.
-    """
-
-    c: dict
-
-    def entry(self, row, p):
-        return self.c[row][p]
-
-
 # columns: p = 0, 1, 2, 3
-TABLE = CoefficientTable(c={
+TABLE = {
     "c0":  (1, 3, 3, 1),
     "c1":  (-1, -1, 1, 1),
     "c2":  (1, -3, -3, 1),
@@ -121,63 +55,52 @@ TABLE = CoefficientTable(c={
     "c52": (-2840, -27720, -35720, -10840),
     "c53": (2224, 29072, 29712, 2864),
     "c54": (120, 2520, 4680, 2280),
-})
-
-_PREFACTOR = {
-    0: _fpm(1, Fraction(-3, 2)),
-    1: _fpm(Fraction(1, 4), -1),
-    2: _fpm(Fraction(1, 3), Fraction(-3, 2)),
-    3: _fpm(Fraction(1, 384), -1),
-    4: _fpm(Fraction(1, 315), Fraction(-3, 2)),
-    5: _fpm(Fraction(1, 245760), -1),
 }
 
+# The power of 4 pi shared by every entry of a_n: (4 pi)^-m/2 at the
+# integer heat orders and (4 pi)^-(m-1)/2 at the half-integer ones, m = 3.
+FOUR_PI_POWER = {n: Fraction(-3, 2) if n % 2 == 0 else Fraction(-1)
+                 for n in range(6)}
+
+# a_n^(p) = (4 pi)^FOUR_PI_POWER[n] * prefactor * sum_rows c^(p) * moment
 _ROWS = {
-    0: ("c0",),
-    1: ("c1",),
-    2: ("c2",),
-    3: ("c31", "c32"),
-    4: ("c41", "c42"),
-    5: ("c51", "c52", "c53", "c54"),
+    # n: (prefactor, c-constant rows in MOMENT_SLOTS order)
+    0: (Fraction(1), ("c0",)),
+    1: (Fraction(1, 4), ("c1",)),
+    2: (Fraction(1, 3), ("c2",)),
+    3: (Fraction(1, 384), ("c31", "c32")),
+    4: (Fraction(1, 315), ("c41", "c42")),
+    5: (Fraction(1, 245760), ("c51", "c52", "c53", "c54")),
 }
 
 
 def form_exact(p, table=TABLE):
     """Exact coefficient map for the degree-p Laplacian.
 
-    Returns ``{n: {slot: FourPiMultiple}}`` so that
-    a_n^(p) = sum_slot value[n][slot] * moment(slot).
+    Returns ``{n: {slot: Fraction}}`` so that a_n^(p) =
+    (4 pi)^FOUR_PI_POWER[n] * sum_slot value[n][slot] * moment(slot).
     """
     if p not in (0, 1, 2, 3):
         raise ValueError("form degree must be 0..3")
-    out = {}
-    for n in range(6):
-        pre = _PREFACTOR[n]
-        out[n] = {
-            slot: pre * table.entry(row, p)
-            for slot, row in zip(MOMENT_SLOTS[n], _ROWS[n])
-        }
-    return out
+    return {n: {slot: prefactor * table[row][p]
+                for slot, row in zip(MOMENT_SLOTS[n], rows)}
+            for n, (prefactor, rows) in _ROWS.items()}
 
 
-# Electromagnetic coefficients: local curvature parts (exact), plus the
-# topological constant in a_3 handled by em_topology_term().
+# Electromagnetic coefficients, in the units of form_exact: local
+# curvature parts (exact), plus the topological constant in a_3 handled
+# by em_topology_term().
 EM_EXACT = {
-    0: {"volume": _fpm(2, Fraction(-3, 2))},
-    1: {"area": ZERO},
-    2: {"trL": _fpm(Fraction(-4, 3), Fraction(-3, 2))},
-    3: {"trL2": _fpm(Fraction(3, 64), -1), "detL": _fpm(Fraction(-1, 16), -1)},
-    4: {"trL3": _fpm(Fraction(32, 315), Fraction(-3, 2)),
-        "trL_detL": _fpm(Fraction(-144, 315), Fraction(-3, 2))},
-    5: {"trL4": _fpm(Fraction(2295, 122880), -1),
-        "trL2_detL": _fpm(Fraction(-12440, 122880), -1),
-        "detL2": _fpm(Fraction(13424, 122880), -1),
-        "trL_lap_trL": _fpm(Fraction(1200, 122880), -1)},
+    0: {"volume": Fraction(2)},
+    1: {"area": Fraction(0)},
+    2: {"trL": Fraction(-4, 3)},
+    3: {"trL2": Fraction(3, 64), "detL": Fraction(-1, 16)},
+    4: {"trL3": Fraction(32, 315), "trL_detL": Fraction(-144, 315)},
+    5: {"trL4": Fraction(2295, 122880),
+        "trL2_detL": Fraction(-12440, 122880),
+        "detL2": Fraction(13424, 122880),
+        "trL_lap_trL": Fraction(1200, 122880)},
 }
-
-
-def em_exact():
-    return EM_EXACT
 
 
 def em_topology_term(topology):
@@ -204,28 +127,18 @@ class ConsistencyCheck:
     detail: str = ""
 
 
-# The two pairing routes relating the electromagnetic coefficients to
-# p-form differences, with the constant that accompanies a_3:
-#   route 1:  a_k = a_k^(1) - a_k^(0),  a_3 extra = -(n - 1)
-#   route 2:  a_k = a_k^(2) - a_k^(3),  a_3 extra = -(sum g_i - 1)
+# The two pairing routes a_k = a_k^(hi) - a_k^(lo) relating the
+# electromagnetic coefficients to p-form differences.  At a_3 the det L
+# slots differ by ``transfer`` (4 pi)^-1 with transfer = +-1/2, which the
+# total-curvature identity (4 pi)^-1 * integral(det L) = sum_i (1 - g_i)
+# turns into a topological constant; ``det_weight`` is the quoted det L
+# weight of the a_3 difference in units of (1/64)(4 pi)^-1, next to 3
+# for (tr L)^2.
 _ROUTES = {
-    "p1-p0": (1, 0),
-    "p2-p3": (2, 3),
+    # route: (hi, lo, transfer, det_weight)
+    "p1-p0": (1, 0, Fraction(1, 2), 28),
+    "p2-p3": (2, 3, Fraction(-1, 2), -36),
 }
-
-
-def _route_a3_constant(route, topology):
-    if route == "p1-p0":
-        return -(topology.components - 1)
-    return -(topology.total_genus - 1)
-
-
-def _gauss_bonnet_transfer(route):
-    # detL-slot mismatch between a p-form difference and the
-    # electromagnetic a_3; converts to a topological constant through
-    # the exact total-curvature identity
-    # (1/2)(4 pi)^-1 * integral(det L) = (1/2) sum_i (1 - g_i).
-    return Fraction(1, 2) if route == "p1-p0" else Fraction(-1, 2)
 
 
 def consistency_report(topology, table=TABLE):
@@ -236,51 +149,44 @@ def consistency_report(topology, table=TABLE):
     """
     checks = []
 
-    def add(name, ok, detail=""):
-        checks.append(ConsistencyCheck(name, bool(ok), detail))
+    def add(name, got, want):
+        def show(x):
+            return ", ".join(map(str, x)) if isinstance(x, tuple) else str(x)
+        checks.append(ConsistencyCheck(name, got == want,
+                                       f"{show(got)} vs {show(want)}"))
 
-    forms = {p: form_exact(p, table) for p in range(4)}
+    forms = [form_exact(p, table) for p in range(4)]
+    harmonic = harmonic_form_dims(topology)
+    euler = sum(1 - g for g in topology.genera)
 
-    for route, (hi, lo) in _ROUTES.items():
+    def diff(route, n, slot):
+        hi, lo = _ROUTES[route][:2]
+        return forms[hi][n][slot] - forms[lo][n][slot]
+
+    for route, (hi, lo, transfer, _) in _ROUTES.items():
         # local slots must match verbatim for k != 3
         for n in (0, 1, 2, 4, 5):
             for slot in MOMENT_SLOTS[n]:
-                diff = forms[hi][n][slot] - forms[lo][n][slot]
-                want = EM_EXACT[n].get(slot, ZERO)
-                add(f"a{n}[{slot}]:{route}", diff == want,
-                    f"{diff} vs {want}")
-        # a_3: the (tr L)^2 slot matches directly...
-        diff_tr = forms[hi][3]["trL2"] - forms[lo][3]["trL2"]
-        add(f"a3[trL2]:{route}", diff_tr == EM_EXACT[3]["trL2"],
-            f"{diff_tr}")
-        # ...while the det L slot differs by exactly +-(1/2)(4 pi)^-1,
-        # which the total-curvature identity turns into the right
-        # topological constant.
-        diff_det = forms[hi][3]["detL"] - forms[lo][3]["detL"]
-        transfer = diff_det - EM_EXACT[3]["detL"]
-        want_transfer = _fpm(_gauss_bonnet_transfer(route), -1)
-        add(f"a3[detL-transfer]:{route}", transfer == want_transfer,
-            f"{transfer} vs {want_transfer}")
-        euler = sum(1 - g for g in topology.genera)
-        topo = Fraction(_route_a3_constant(route, topology)) \
-            + _gauss_bonnet_transfer(route) * euler
-        add(f"a3[topology]:{route}", topo == em_topology_term(topology),
-            f"{topo} vs {em_topology_term(topology)}")
+                add(f"a{n}[{slot}]:{route}", diff(route, n, slot),
+                    EM_EXACT[n][slot])
+        # a_3: the (tr L)^2 slot matches directly, while the det L slot
+        # differs by the transfer; adding the dimension of the harmonic
+        # space gives the topological constant.
+        add(f"a3[trL2]:{route}", diff(route, 3, "trL2"), EM_EXACT[3]["trL2"])
+        add(f"a3[detL-transfer]:{route}",
+            diff(route, 3, "detL") - EM_EXACT[3]["detL"], transfer)
+        add(f"a3[topology]:{route}",
+            transfer * euler - (harmonic[hi] - harmonic[lo]),
+            em_topology_term(topology))
 
-    # quoted combination lines: in units of (1/64)(4 pi)^-1 the two a_3
-    # differences read 3 (tr L)^2 + 28 det L and 3 (tr L)^2 - 36 det L.
-    unit = _fpm(Fraction(1, 64), -1)
-    for route, want_det in (("p1-p0", 28), ("p2-p3", -36)):
-        hi, lo = _ROUTES[route]
-        d_tr = forms[hi][3]["trL2"] - forms[lo][3]["trL2"]
-        d_det = forms[hi][3]["detL"] - forms[lo][3]["detL"]
+    # the quoted a_3 differences, in units of (1/64)(4 pi)^-1
+    for route, (*_, det_weight) in _ROUTES.items():
         add(f"a3-combination:{route}",
-            d_tr == unit * 3 and d_det == unit * want_det,
-            f"({d_tr}, {d_det}) vs (3, {want_det}) x {unit}")
+            (64 * diff(route, 3, "trL2"), 64 * diff(route, 3, "detL")),
+            (3, det_weight))
 
     # the electromagnetic a_1 vanishes because both c1 differences do
-    for route, (hi, lo) in _ROUTES.items():
-        diff = forms[hi][1]["area"] - forms[lo][1]["area"]
-        add(f"a1-zero:{route}", diff.is_zero, f"{diff}")
+    for route in _ROUTES:
+        add(f"a1-zero:{route}", diff(route, 1, "area"), 0)
 
     return checks

@@ -235,7 +235,7 @@ def test_criterion_6_casimir_finiteness(store):
 
         # regulator integrals match their printed asymptotes to O(1)
         for n in range(5):
-            ri = regulator_integral(n, 1e-6, delta=1.0)
+            ri = regulator_integral(n, 1e-6)
             assert abs(ri.numeric - ri.asymptote) <= 3.0, (n, ri)
         assert time.perf_counter() - t0 < 60.0
 

@@ -225,7 +225,7 @@ class TestRegulatorIntegral:
 
     @pytest.mark.parametrize("n", range(5))
     def test_matches_asymptote_to_order_one(self, n):
-        ri = regulator_integral(n, 1e-6, delta=1.0)
+        ri = regulator_integral(n, 1e-6)
         diff = ri.numeric - ri.asymptote
         assert diff == pytest.approx(self.OFFSET[n], abs=0.02)
 
@@ -244,8 +244,11 @@ class TestRegulatorIntegral:
                                        0.05, 0.5, 0.9])
     @pytest.mark.parametrize("n", range(5))
     def test_matches_30_digit_reference(self, n, gamma, delta):
+        # t -> delta t: the integral to delta is
+        # delta^((n-4)/2) times the integral to 1 at gamma / delta
         ref = self.reference(n, gamma, delta)
-        got = regulator_integral(n, gamma, delta).numeric
+        got = delta ** ((n - 4) / 2) * regulator_integral(
+            n, gamma / delta).numeric
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_asymptote_forms(self):
@@ -271,7 +274,7 @@ class TestRegulatorIntegral:
         with pytest.raises(ValueError):
             regulator_integral(5, 1e-6)
         with pytest.raises(ValueError):
-            regulator_integral(2, 2.0, delta=1.0)
+            regulator_integral(2, 2.0)
 
 
 class TestDivergencePrediction:

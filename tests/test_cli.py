@@ -302,13 +302,17 @@ def small_run(tmp_path_factory):
     (("fit", "--trace", "{trace0}"), "trace0.csv has 0 data rows:"),
     (("fit", "--trace", "{empty}"), "empty.csv is empty: no header, 0 data"),
     (("fit", "--trace", "{xy}"), "xy.csv: columns x,y; expected t,K,bound"),
+    (("fit", "--trace", "{short}"), "short.csv: data row 2 has 2 fields, the "
+     "header 3"),
+    (("fit", "--trace", "{long}"), "long.csv: data row 2 has 4 fields, the "
+     "header 3"),
 ], ids=["trace-t-lo-nan", "trace-t-points-0",
         "verify-points-negative", "verify-seed-negative",
         "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
         "modes-radius-negative",
         "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window",
         "fit-one-row", "fit-five-rows", "fit-header-only", "fit-empty-file",
-        "fit-other-columns"])
+        "fit-other-columns", "fit-short-row", "fit-long-row"])
 def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
                                     names):
     files = {k: small_run / f for k, f in (
@@ -325,6 +329,12 @@ def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
     files["xy"] = tmp_path / "xy.csv"
     files["xy"].write_text("x,y\n" + "".join(
         ",".join(line.split(",")[:2]) + "\n" for line in lines[1:]))
+    # a trace whose second data row lost or gained a field, after a
+    # comment line that numpy skips
+    for name, row in (("short", "0.1,2.0\n"), ("long", "0.1,2.0,0.0,1.0\n")):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("".join(lines[:2]) + "# note\n" + row
+                               + "".join(lines[2:]))
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv]
@@ -413,6 +423,19 @@ class TestPipeline:
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["failures"] == []
         assert all(doc["report"]["exact_relations"].values())
+
+    def test_verify_gauss_bonnet_rule_matches_coeffs(self, tmp_path):
+        # at quadrature order 6 the ellipsoid's total-curvature residual
+        # is above 1e-8 but within ten quadrature errors: both commands
+        # pass it by the same rule
+        assert run(tmp_path, "verify", "--quad-order", 6, "--points", 2) == 0
+        assert run(tmp_path, "coeffs", "--surface", "ellipsoid",
+                   "--quad-order", 6) == 0
+        gb = json.loads((tmp_path / "coeffs.json").read_text())["gauss_bonnet"]
+        report = json.loads((tmp_path / "verify.json").read_text())["report"]
+        residuals = report["gauss_bonnet"]
+        assert residuals["ellipsoid(1.0,1.3,1.7)"] == gb["residual"]
+        assert 1e-8 < abs(gb["residual"]) <= gb["tolerance"]
 
     def test_verify_catches_a_planted_relative_error(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityheat import tables
 from cavityheat.geometry import TopologyInfo
 from cavityheat.tables import (
+    EM_EXACT,
     TABLE,
-    FourPiMultiple,
     consistency_report,
-    em_exact,
     em_topology_term,
     form_exact,
     harmonic_form_dims,
@@ -25,26 +25,6 @@ TOPOLOGIES = [
     TopologyInfo(2, (1, 3)),
     TopologyInfo(3, (0, 1, 2)),
 ]
-
-
-class TestFourPiMultiple:
-    def test_arithmetic(self):
-        a = FourPiMultiple(Fraction(1, 3), Fraction(-3, 2))
-        b = FourPiMultiple(Fraction(1, 6), Fraction(-3, 2))
-        assert (a - b).rational == Fraction(1, 6)
-        assert (a * 2).rational == Fraction(2, 3)
-
-    def test_mixed_powers_rejected(self):
-        a = FourPiMultiple(1, -1)
-        b = FourPiMultiple(1, Fraction(-3, 2))
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_zero_absorbs_any_power(self):
-        z = FourPiMultiple(0, 0)
-        a = FourPiMultiple(Fraction(1, 2), -1)
-        assert (a + z) == a
-        assert z == FourPiMultiple(0, -1)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -75,27 +55,46 @@ def test_report_covers_both_routes_and_all_orders():
 
 
 def test_corrupted_table_is_detected():
-    import dataclasses
-    c = dict(TABLE.c)
-    c["c41"] = (4, 37, 60, 28)  # one digit off
-    bad_table = dataclasses.replace(TABLE, c=c)
+    bad_table = {**TABLE, "c41": (4, 37, 60, 28)}  # one digit off
     report = consistency_report(TOPOLOGIES[0], table=bad_table)
-    assert any(not chk.ok and "a4" in chk.name for chk in report)
+    assert [chk.name for chk in report if not chk.ok] == ["a4[trL3]:p1-p0"]
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("row", sorted(TABLE))
+def test_every_c_constant_one_unit_off_is_detected(row, p):
+    entries = list(TABLE[row])
+    entries[p] += 1
+    report = consistency_report(TOPOLOGIES[4],
+                                table={**TABLE, row: tuple(entries)})
+    assert any(not chk.ok for chk in report)
+
+
+@pytest.mark.parametrize("n, slot", [(n, slot) for n in sorted(EM_EXACT)
+                                     for slot in EM_EXACT[n]])
+def test_every_wrong_em_entry_is_detected(monkeypatch, n, slot):
+    value = EM_EXACT[n][slot]
+    monkeypatch.setitem(tables.EM_EXACT[n], slot,
+                        value + Fraction(1, value.denominator))
+    report = consistency_report(TOPOLOGIES[4])
+    assert any(not chk.ok and chk.name.startswith(f"a{n}[")
+               for chk in report)
+
 
 
 class TestKnownEntries:
     def test_c41_difference_matches_em_prefactor(self):
         # 36 - 4 = 32 and (1/315)*32 = (16/315)*2
-        d = TABLE.entry("c41", 1) - TABLE.entry("c41", 0)
+        d = TABLE["c41"][1] - TABLE["c41"][0]
         assert d == 32
         assert Fraction(d, 315) == Fraction(16, 315) * 2
 
     def test_c53_difference_halves_into_em(self):
-        d = TABLE.entry("c53", 2) - TABLE.entry("c53", 3)
+        d = TABLE["c53"][2] - TABLE["c53"][3]
         assert d == 29712 - 2864 == 26848 == 2 * 13424
 
     def test_em_a5_detL2_coefficient(self):
-        assert em_exact()[5]["detL2"].rational == Fraction(13424, 122880)
+        assert EM_EXACT[5]["detL2"] == Fraction(13424, 122880)
 
 
 class TestBallRationalValues:
@@ -113,7 +112,7 @@ class TestBallRationalValues:
     ])
     def test_a3_values(self, p, want):
         fx = form_exact(p)
-        got = fx[3]["trL2"].rational * 4 + fx[3]["detL"].rational * 1
+        got = fx[3]["trL2"] * 4 + fx[3]["detL"] * 1
         assert got == want
 
     def test_a3_em_from_both_routes(self):
@@ -135,8 +134,7 @@ class TestBallRationalValues:
     ])
     def test_a5_values(self, p, want):
         fx = form_exact(p)
-        got = (fx[5]["trL4"].rational * 16 + fx[5]["trL2_detL"].rational * 4
-               + fx[5]["detL2"].rational * 1)
+        got = fx[5]["trL4"] * 16 + fx[5]["trL2_detL"] * 4 + fx[5]["detL2"]
         assert got == want
 
     def test_a5_em_difference(self):
