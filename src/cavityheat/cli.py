@@ -325,17 +325,10 @@ def _em_values(path):
 
 
 def _cmd_casimir(args, parser):
-    # regulator_integral needs 0 < gamma < 1; checked before any
-    # file is written
-    if not 0 < args.gamma_lo < min(1.0, args.gamma_hi):
-        raise ValueError(f"--gamma-lo {args.gamma_lo:g} must lie in "
-                         "(0, min(1, --gamma-hi))")
-    from .casimir import (
-        RegulatorKind,
-        divergence_prediction,
-        regulator_integral,
-        remainder_scan,
-    )
+    if not args.gamma_lo < args.gamma_hi:
+        raise ValueError(f"--gamma-lo {args.gamma_lo:g} must be below "
+                         f"--gamma-hi {args.gamma_hi:g}")
+    from .casimir import RegulatorKind, divergence_prediction, remainder_scan
     from .spectrum import ModeList
 
     t0 = time.time()
@@ -349,15 +342,9 @@ def _cmd_casimir(args, parser):
     out = _out_dir(args)
     _write_csv(out / "scan.csv", "gamma,S,prediction,remainder",
                scan.gammas, scan.values, scan.prediction, scan.remainder)
-
-    integrals = {}
-    for n in range(5):
-        ri = regulator_integral(n, args.gamma_lo)
-        integrals[str(n)] = {"numeric": ri.numeric, "asymptote": ri.asymptote}
     payload = {"schema_version": SCHEMA_VERSION,
                "prediction": pred.as_dict(),
                "scan": scan.as_dict(),
-               "regulator_integrals": integrals,
                "manifest": _manifest(args, [args.modes, args.coeffs], t0)}
     _write_json(out / "casimir.json", payload)
     if not scan.finite:
@@ -485,8 +472,7 @@ def build_parser():
     p.add_argument("--coeffs", required=True,
                    help="coefficient report JSON from 'coeffs'")
     p.add_argument("--regulator", choices=("heat", "sqrt"), default="heat")
-    # checked against the regulator-integral domain in _cmd_casimir
-    p.add_argument("--gamma-lo", type=float, default=1e-3)
+    p.add_argument("--gamma-lo", type=positive_float, default=1e-3)
     p.add_argument("--gamma-hi", type=positive_float, default=5e-2)
     p.add_argument("--gamma-points", type=positive_int, default=40)
     p.add_argument("--z-threshold", type=positive_float, default=2.0,

@@ -461,14 +461,18 @@ class ModeList:
         Calibrated against the counted staircase over the top of the
         enumerated range rather than taken from the growth law, which
         absorbs the surface correction empirically.  Falls back to the
-        single leading term (and then to zero) when the list is too
-        small for a stable two-parameter fit.  Computed once per list.
+        single leading term when the list is too small for a stable
+        two-parameter fit; ValueError below 20 calibrating modes, as a
+        zero tail would pass every truncation bound.  Computed once.
         """
         w_hi = self.omega_max
         w_lo = TAIL_CALIBRATION_WINDOW * w_hi
         n_lo = self.n_below(w_lo)
         if self.count - n_lo < 20:
-            return 0.0, 0.0
+            raise ValueError(
+                f"mode list to omega_max {w_hi:g}: {self.count - n_lo} of its "
+                f"{self.count} modes lie in the tail calibration window "
+                f"({w_lo:g}, {w_hi:g}], fewer than the 20 a tail needs")
         if self.count - n_lo < 500:
             vol = (w_hi ** 3 - w_lo ** 3) / 3.0
             return (self.count - n_lo) / vol, 0.0
@@ -523,15 +527,25 @@ class ModeList:
             raise FileNotFoundError(
                 f"missing sidecar {sidecar_path.name}; mode CSVs carry their "
                 "radius and cutoff in a JSON sidecar")
-        meta = json.loads(sidecar_path.read_text())
         try:
-            radius, omega_max = (float(meta[k]) for k in ("radius", "omega_max"))
+            # integers read as floats, too large ones as inf
+            meta = json.loads(sidecar_path.read_text(), parse_int=float)
+            values = [meta[k] for k in ("radius", "omega_max")]
+        except json.JSONDecodeError as err:
+            raise ValueError(
+                f"{sidecar_path.name}: malformed JSON ({err})") from None
         except KeyError as err:
             raise ValueError(
                 f"{sidecar_path.name} has no {err.args[0]!r} key") from None
-        except TypeError:
+        except TypeError:           # not a JSON object
+            values = []
+        # JSON numbers only: true and false are not, nor are strings
+        if not (values and all(type(v) is float for v in values)):
             raise ValueError(f"{sidecar_path.name} must map 'radius' and "
-                             "'omega_max' to numbers") from None
+                             "'omega_max' to numbers")
+        radius, omega_max = values
+        for name, value in zip(("radius", "omega_max"), values):
+            _require_positive(f"{sidecar_path.name}: {name}", value)
         columns = {name: [] for name in _CSV_TYPES}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
