@@ -9,7 +9,12 @@ by the heat-trace coefficients a_0..a_4:
                                + (1/(2 sqrt(pi))) a4 log g
     exp(-sqrt(gamma lambda)):  (24/sqrt(pi)) a0 g^-2 + 4 a1 g^-3/2
                                + (2/sqrt(pi)) a2 g^-1 + 0 * a3 g^-1/2
-                               + (1/sqrt(pi)) a4 log g
+                               + (1/(2 sqrt(pi))) a4 log g
+
+Each factor is a residue of the spectral zeta function, a_n/Gamma((3-n)/2)
+at u = (3-n)/2 (Kirsten, Spectral Functions in Mathematics and Physics,
+2002).  At s = 0 the a_4 pole meets that of Gamma(s) and leaves log g; the
+square-root regulator doubles the residue but halves the log: one log slot.
 
 The gamma^-1/2 slot is exactly zero for both regulators -- a_3 drops out
 of the divergence, which is what makes the energy difference finite.
@@ -24,9 +29,10 @@ tail is at most REGULATED_RTOL = 0.5 times the raw sum.
 
 Related quantities: the single regulator integrals
 int_0^1 t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
-asymptotes.  The large-k expansion of the mode generating function
-Phi(k) and the finite-frequency mode count 2*a3_local - genus need no
-spectrum; they are coefficients.phi_expansion and coefficients.DeltaA3.
+asymptotes, which no verdict or artifact reads.  The large-k
+expansion of the mode generating function Phi(k) and the
+finite-frequency mode count 2*a3_local - genus need no spectrum; they
+are coefficients.phi_expansion and coefficients.DeltaA3.
 """
 
 from __future__ import annotations
@@ -177,9 +183,8 @@ class DivergencePrediction:
 
 # factor of a_n in slot n of S(gamma): g^-2, g^-3/2, g^-1, g^-1/2, log g
 _DIVERGENCE_FACTORS = {
-    RegulatorKind.HEAT: (2.0 / SQPI, SQPI / 2.0, 1.0 / SQPI, 0.0,
-                         1.0 / (2.0 * SQPI)),
-    RegulatorKind.SQRT: (24.0 / SQPI, 4.0, 2.0 / SQPI, 0.0, 1.0 / SQPI),
+    RegulatorKind.HEAT: (2.0 / SQPI, SQPI / 2.0, 1.0 / SQPI, 0.0, 0.5 / SQPI),
+    RegulatorKind.SQRT: (24.0 / SQPI, 4.0, 2.0 / SQPI, 0.0, 0.5 / SQPI),
 }
 
 
