@@ -58,10 +58,11 @@ for model in (ball, ellipsoid(1.0, 1.3, 1.7), ring):
           f"4 pi sum(1-g) = {target:+.12f}")
 
 print("\n== integration by parts on a closed surface ==")
-from cavityheat import grad_trL_sq_integral, trL_lap_trL_integral
+from cavityheat import compute_moments, trL_lap_trL_integral
 
+# the moment a_5 uses is minus the integral of |grad tr L|^2
 egg = ellipsoid(1.0, 1.3, 1.7)
-a = grad_trL_sq_integral(egg, quad).value
+a = -compute_moments(egg, quad).trL_lap_trL.value
 b = trL_lap_trL_integral(egg, quad).value
 print(f"ellipsoid: integral |grad tr L|^2     = {a:+.9f}")
 print(f"           integral tr L * lap tr L   = {b:+.9f}")

@@ -19,8 +19,7 @@ _SUBMODULES = {
     "geometry": (
         "CurvatureSample", "QuadratureSpec", "SurfaceChart", "SurfaceModel",
         "TopologyInfo", "curvature_at", "ellipsoid", "enclosed_volume",
-        "grad_trL_sq_integral", "sphere", "surface_integral", "torus",
-        "trL_lap_trL_integral"),
+        "sphere", "surface_integral", "torus", "trL_lap_trL_integral"),
     "geometry.identities": (
         "IdentityResiduals", "curvature_identity_residuals"),
     "tables": ("consistency_report", "harmonic_form_dims"),

@@ -9,7 +9,6 @@ from .quadrature import (
     OrientationError,
     QuadratureSpec,
     enclosed_volume,
-    grad_trL_sq_integral,
     surface_integral,
     trL_lap_trL_integral,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "OrientationError",
     "QuadratureSpec",
     "enclosed_volume",
-    "grad_trL_sq_integral",
     "surface_integral",
     "trL_lap_trL_integral",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "OrientationError",
     "surface_integral",
     "enclosed_volume",
-    "grad_trL_sq_integral",
     "trL_lap_trL_integral",
 ]
 
@@ -191,23 +190,13 @@ def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
     return res
 
 
-def grad_trL_sq_integral(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
-    """Integral of |grad tr L|^2 over the boundary (third-order derivatives)."""
-
-    def fields(chart, U, V):
-        g = curvature_grid(chart, U, V, order=3)
-        return g["w"], {"f": g["grad_trL_sq"]}
-
-    return integrate(model, fields, quad)["f"]
-
-
 def trL_lap_trL_integral(model: SurfaceModel,
                          quad: QuadratureSpec) -> Measurement:
     """Integral of tr L * lap(tr L), with the pointwise Laplace-Beltrami.
 
-    Independent of :func:`grad_trL_sq_integral`; on a closed surface the
-    two must agree up to sign (integration by parts), which makes the
-    pair a useful cross-check of the derivative pipeline.
+    On a closed surface it equals the independent ``trL_lap_trL`` moment
+    of :func:`cavityheat.coefficients.compute_moments`, minus the integral
+    of |grad tr L|^2 (integration by parts): a cross-check of a_5's term.
     """
 
     def fields(chart, U, V):

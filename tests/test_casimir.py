@@ -1,17 +1,12 @@
 """Regulated frequency sums and their divergence structure."""
 
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-import cavityheat
 import cavityheat.casimir as casimir
 import cavityheat.spectrum as spectrum
 from cavityheat import QuadratureSpec, TopologyInfo, sphere
@@ -259,16 +254,6 @@ class TestRegulatorIntegral:
             math.pi * g**-0.5)
         assert regulator_integral(4, g).asymptote == pytest.approx(
             -math.log(g))
-
-    def test_import_leaves_quadrature_unloaded(self):
-        src = str(Path(cavityheat.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cavityheat; print('scipy.integrate' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-            text=True, check=True)
-        assert out.stdout.strip() == "False"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -123,8 +123,12 @@ class TestUsageErrors:
         '{"em": {"values": [0.1, 0, -0.7, NaN, 0, 0]}}',
         '{"em": {"values": [0.1, 0, -0.7, Infinity, 0, 0]}}',
         '{"em": {"values": [0.1, 0, -0.7, -Infinity, 0, 0]}}',
+        '{"em": {"values": [true, 0, -0.75, 0.625, 0, 0]}}',
+        '{"em": {"values": [0.1, "0", -0.75, 0.625, 0, 0]}}',
+        '{"em": {"values": "100000"}}',
     ], ids=["malformed-json", "no-em-values", "missing", "nan-value",
-            "inf-value", "minus-inf-value"])
+            "inf-value", "minus-inf-value", "bool-value", "string-value",
+            "string-list"])
     def test_bad_coeffs_file_exits_1(self, tmp_path, capsys, text):
         assert run(tmp_path, "modes", "--omega-max", 10) == 0
         coeffs = tmp_path / "coeffs.json"
@@ -135,6 +139,7 @@ class TestUsageErrors:
                    "--coeffs", coeffs) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(coeffs) in err
         assert not (tmp_path / "casimir.json").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -309,6 +314,10 @@ def small_run(tmp_path_factory):
 @pytest.mark.parametrize("argv, names", [
     (("trace", "--modes", "{modes}", "--t-lo", "nan"), "--t-lo"),
     (("trace", "--modes", "{modes}", "--t-points", "0"), "--t-points"),
+    (("trace", "--modes", "{modes}", "--t-lo", "0.02", "--t-hi", "0.02"),
+     "--t-lo 0.02 must be below --t-hi 0.02"),
+    (("trace", "--modes", "{modes}", "--t-lo", "0.09", "--t-hi", "0.015"),
+     "--t-lo 0.09 must be below --t-hi 0.015"),
     (("verify", "--points", "-1"), "--points"),
     (("verify", "--seed", "-1"), "--seed"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
@@ -331,7 +340,8 @@ def small_run(tmp_path_factory):
      "header 3"),
     (("fit", "--trace", "{long}"), "long.csv: data row 2 has 4 fields, the "
      "header 3"),
-], ids=["trace-t-lo-nan", "trace-t-points-0",
+], ids=["trace-t-lo-nan", "trace-t-points-0", "trace-t-lo-equals-hi",
+        "trace-t-lo-above-hi",
         "verify-points-negative", "verify-seed-negative",
         "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
         "casimir-gamma-lo-zero",
@@ -433,16 +443,13 @@ class TestPipeline:
     def test_pipeline_determinism_modulo_timestamp(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.chdir(tmp_path)
-        # one coefficient report, whose hash each casimir manifest
-        # records (its own rerun is test_determinism_modulo_timestamp)
-        assert main(["coeffs", "--surface", "sphere", "--quad-order", "16",
-                     "--out", "input"]) == 0
         casimir = ["casimir", "--modes", "modes_em.csv",
-                   "--coeffs", "input/coeffs.json"]
+                   "--coeffs", "coeffs.json"]
         steps = (["modes", "--omega-max", "40"],
                  ["trace", "--modes", "modes_em.csv", "--t-lo", "0.015",
                   "--t-hi", "0.09"],
                  ["fit", "--trace", "trace.csv"],
+                 ["coeffs", "--surface", "sphere", "--quad-order", "16"],
                  casimir + ["--out", "heat"],
                  casimir + ["--regulator", "sqrt", "--out", "sqrt"])
         runs = []
@@ -456,7 +463,29 @@ class TestPipeline:
                 for path in sorted(Path().rglob("*")) if path.is_file()})
         assert runs[0] == runs[1]
         assert {"heat/casimir.json", "sqrt/casimir.json", "sqrt/scan.csv",
-                "fit.json", "trace.csv", "modes_em.csv"} <= set(runs[0])
+                "fit.json", "trace.csv", "modes_em.csv",
+                "coeffs.json"} <= set(runs[0])
+
+    def test_input_digest_ignores_the_input_manifest_clock(self, tmp_path):
+        # a rerun coeffs.json differs only in its manifest's clock fields,
+        # which must not reach the digest a casimir manifest records
+        assert run(tmp_path, "modes", "--omega-max", 40) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        coeffs = tmp_path / "coeffs.json"
+
+        def casimir_inputs():
+            assert run(tmp_path, "casimir", "--modes",
+                       tmp_path / "modes_em.csv", "--coeffs", coeffs) == 0
+            doc = json.loads((tmp_path / "casimir.json").read_text())
+            return doc["manifest"]["inputs"]
+
+        before = casimir_inputs()
+        doc = json.loads(coeffs.read_text())
+        doc["manifest"].update(timestamp_utc="2001-01-01T00:00:00+00:00",
+                               wall_time_s=123.456)
+        coeffs.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert casimir_inputs() == before and str(coeffs) in before
 
     def test_verify_passes(self, tmp_path):
         assert run(tmp_path, "verify", "--seed", 7, "--points", 2,

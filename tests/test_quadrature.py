@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cavityheat
+from cavityheat import coefficients
 from cavityheat.geometry import curvature, quadrature
 from cavityheat.coefficients import compute_moments
 from cavityheat.geometry.quadrature import gauss_legendre
@@ -23,7 +24,6 @@ from cavityheat.geometry import (
     curvature_grid,
     ellipsoid,
     enclosed_volume,
-    grad_trL_sq_integral,
     sphere,
     surface_integral,
     torus,
@@ -113,16 +113,26 @@ class TestVolume:
             enclosed_volume(model, Q16)
 
 
+def by_parts_gap(model, quad):
+    """|moment - integral(tr L * lap tr L)| relative to the moment.
+
+    The moment is compute_moments' trL_lap_trL, minus the integral of
+    |grad tr L|^2; the integral uses the pointwise Laplacian.  Both
+    values are returned after the gap.
+    """
+    a = compute_moments(model, quad).trL_lap_trL.value
+    b = trL_lap_trL_integral(model, quad).value
+    return abs(a - b) / max(abs(a), 1.0), a, b
+
+
 class TestGradLaplacianPair:
-    # integration by parts on a closed surface:
-    # integral(tr L * lap tr L) = -integral(|grad tr L|^2)
+    # integration by parts on a closed surface: the moment a_5 uses
+    # against the pointwise Laplacian
     @pytest.mark.parametrize("model", [ellipsoid(1.0, 1.0, 2.0),
                                        torus(2.0, 0.5),
                                        ellipsoid(1.0, 1.3, 1.7)])
     def test_antisymmetry(self, model):
-        a = grad_trL_sq_integral(model, Q16).value
-        b = trL_lap_trL_integral(model, Q16).value
-        assert abs(a + b) < 1e-6 * max(abs(a), 1.0)
+        assert by_parts_gap(model, Q16)[0] < 1e-6
 
     @pytest.mark.parametrize("model", [ellipsoid(1.0, 1.0, 2.0),
                                        torus(2.0, 0.5),
@@ -130,18 +140,30 @@ class TestGradLaplacianPair:
     def test_exact_laplacian_agrees_to_quadrature(self, model):
         # both integrands are exact pointwise, so only quadrature separates
         # them, far below the finite-difference floor of ~1e-9
-        a = grad_trL_sq_integral(model, Q32).value
-        b = trL_lap_trL_integral(model, Q32).value
-        assert abs(a + b) < 1e-12 * max(abs(a), 1.0)
+        assert by_parts_gap(model, Q32)[0] < 1e-12
+
+    @pytest.mark.parametrize("model", [ellipsoid(1.0, 1.3, 1.7),
+                                       torus(2.0, 0.5)],
+                             ids=["ellipsoid", "torus"])
+    def test_flipped_moment_sign_is_rejected(self, monkeypatch, model):
+        # a sign error planted in the moment's integrand fails the
+        # looser of the two bounds above at both orders
+        fields = coefficients._boundary_fields
+
+        def flipped(chart, U, V):
+            w, f = fields(chart, U, V)
+            return w, {**f, "trL_lap_trL": -f["trL_lap_trL"]}
+
+        monkeypatch.setattr(coefficients, "_boundary_fields", flipped)
+        for quad in (Q16, Q32):
+            assert by_parts_gap(model, quad)[0] > 1e-6
 
     def test_sphere_both_vanish(self):
-        assert abs(grad_trL_sq_integral(sphere(1.0), Q16).value) < 1e-20
-        assert abs(trL_lap_trL_integral(sphere(1.0), Q16).value) < 1e-9
+        _, a, b = by_parts_gap(sphere(1.0), Q16)
+        assert abs(a) < 1e-20 and abs(b) < 1e-9
 
-    @pytest.mark.parametrize("integral, order", [
-        (grad_trL_sq_integral, 3), (trL_lap_trL_integral, 4)],
-        ids=["grad", "lap"])
-    def test_one_evaluation_per_level(self, monkeypatch, integral, order):
+    @pytest.mark.parametrize("order", [4], ids=["lap"])
+    def test_one_evaluation_per_level(self, monkeypatch, order):
         # a one-chart model at two levels: one grid and one embedding
         # jet per level, the area element included
         grids, jets = [], []
@@ -157,7 +179,7 @@ class TestGradLaplacianPair:
 
         monkeypatch.setattr(quadrature, "curvature_grid", counted_grid)
         monkeypatch.setattr(curvature, "surface_jets", counted_jets)
-        integral(ellipsoid(1.0, 1.3, 1.7), Q16)
+        trL_lap_trL_integral(ellipsoid(1.0, 1.3, 1.7), Q16)
         assert len(grids) == 2 and jets == [order, order]
 
 
@@ -172,8 +194,7 @@ def test_moments_equal_the_public_integrals(model, order):
     q = QuadratureSpec(order=order)
     m = compute_moments(model, q)
     pairs = ((m.area, surface_integral(model, const_one, q)),
-             (m.volume, enclosed_volume(model, q)),
-             (m.trL_lap_trL.scaled(-1.0), grad_trL_sq_integral(model, q)))
+             (m.volume, enclosed_volume(model, q)))
     for got, want in pairs:
         assert (got.value, got.error) == (want.value, want.error)
 
