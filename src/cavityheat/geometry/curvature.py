@@ -25,7 +25,7 @@ __all__ = ["CurvatureSample", "curvature_at", "curvature_grid"]
 # effectively degenerate at the point.
 _SINGULAR_SINE = 1e-10
 # nodes per evaluation block (see _blockwise)
-_BLOCK = 1 << 14
+_BLOCK = 1 << 13
 # glibc malloc thresholds set by _retain_heap: arrays up to the first
 # come from the heap, and a free heap top up to the second stays there
 _MMAP_THRESHOLD = 32 << 20
@@ -84,8 +84,9 @@ def _retain_heap():
     the next block, depends on where earlier allocations landed: the
     same eight surfaces took 36,000 to 131,000 page faults and 1.09 to
     1.49 s from one process to the next.  Fixed thresholds above a grid
-    evaluation's footprint (under 30 MB) take that to under 2,000
-    faults and about 1.0 s in every process.
+    evaluation's footprint (under 15 MiB on a 65,536-node grid: one
+    block's jets plus the named fields) take that to under 2,000 faults
+    and about 1.0 s in every process.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
@@ -103,9 +104,11 @@ def _blockwise(fields, u, v):
     """``fields(u, v)``, a dict of arrays, evaluated on blocks of rows of
     the broadcast (u, v) grid and assembled.
 
-    Only one block's jets are alive at a time, and their memory is
-    reused from block to block (:func:`_retain_heap`).  Every field is
-    elementwise in the points, so the result does not depend on the
+    Only the arrays ``fields`` returns get a whole-grid output.  Blocks
+    hold up to ``_BLOCK`` nodes, so one block's jets (about 7 MiB at
+    order 3, 13 MiB at order 4) are alive at a time, and their memory
+    is reused from block to block (:func:`_retain_heap`).  Every field
+    is elementwise in the points, so the result does not depend on the
     blocking.
     """
     _retain_heap()
@@ -128,7 +131,7 @@ def _blockwise(fields, u, v):
     return out
 
 
-def curvature_grid(chart: SurfaceChart, u, v, order=2):
+def curvature_grid(chart: SurfaceChart, u, v, order=2, names=None):
     """Evaluate the surface fields at an array of parameter points.
 
     u and v broadcast against each other (a quadrature grid passes its
@@ -140,6 +143,10 @@ def curvature_grid(chart: SurfaceChart, u, v, order=2):
     order 4 also adds ``lap_trL``, the Laplace-Beltrami of tr L,
     lap f = (d_u P + d_v Q) / w with the metric fluxes
     P = (G f_u - F f_v)/w and Q = (E f_v - F f_u)/w.
+
+    ``names``, if given, selects the fields returned; the others are
+    never assembled on the grid.  A name that ``order`` does not
+    provide raises ``ValueError``.
     """
     def fields(u, v):
         s = surface_jets(chart, u, v, order)
@@ -156,7 +163,13 @@ def curvature_grid(chart: SurfaceChart, u, v, order=2):
             P = (G * Hu - F * Hv) / w
             Q = (E * Hv - F * Hu) / w
             out["lap_trL"] = (P.d(1, 0).value + Q.d(0, 1).value) / w.value
-        return out
+        if names is None:
+            return out
+        unknown = [name for name in names if name not in out]
+        if unknown:
+            raise ValueError(f"no curvature field {unknown[0]!r} at order "
+                             f"{order}; expected one of {', '.join(out)}")
+        return {name: out[name] for name in names}
 
     return _blockwise(fields, u, v)
 

@@ -129,6 +129,7 @@ def _sums(model, fields, spec):
     for chart in model.charts:
         U, V, W = spec.grid(chart)
         w, integrands = fields(chart, U, V)
+        Ww = W * w
         for name, vals in integrands.items():
             if not np.all(np.isfinite(vals)):
                 k = np.unravel_index(int(np.argmin(np.isfinite(vals))),
@@ -138,7 +139,7 @@ def _sums(model, fields, spec):
                     f"non-finite integrand on chart {chart.name!r} at "
                     f"(u, v) = ({U[k]:.6g}, {V[k]:.6g})"
                 )
-            totals[name] = totals.get(name, 0.0) + float(np.sum(W * w * vals))
+            totals[name] = totals.get(name, 0.0) + float(np.sum(Ww * vals))
     return totals
 
 
@@ -165,7 +166,8 @@ def surface_integral(model: SurfaceModel, field, quad: QuadratureSpec) -> Measur
     """
 
     def fields(chart, U, V):
-        return curvature_grid(chart, U, V)["w"], {"f": field(chart, U, V)}
+        w = curvature_grid(chart, U, V, names=("w",))["w"]
+        return w, {"f": field(chart, U, V)}
 
     return integrate(model, fields, quad)["f"]
 
@@ -178,7 +180,7 @@ def enclosed_volume(model: SurfaceModel, quad: QuadratureSpec) -> Measurement:
     """
 
     def field(chart, U, V):
-        g = curvature_grid(chart, U, V)
+        g = curvature_grid(chart, U, V, names=("r", "n"))
         return -(1.0 / 3.0) * np.einsum("i...,i...->...", g["r"], g["n"])
 
     res = surface_integral(model, field, quad)
@@ -200,7 +202,8 @@ def trL_lap_trL_integral(model: SurfaceModel,
     """
 
     def fields(chart, U, V):
-        g = curvature_grid(chart, U, V, order=4)
+        g = curvature_grid(chart, U, V, order=4,
+                           names=("w", "trL", "lap_trL"))
         return g["w"], {"f": g["trL"] * g["lap_trL"]}
 
     return integrate(model, fields, quad)["f"]

@@ -445,9 +445,21 @@ class ModeList:
         """Total number of modes, multiplicity included."""
         return int(np.sum(self.multiplicity))
 
+    @cached_property
+    def _n_cumulative(self):
+        """N at the top of each row, after a leading 0 (rows sort by omega)."""
+        counts = np.concatenate(([0], np.cumsum(self.multiplicity)))
+        counts.setflags(write=False)
+        return counts
+
     def n_below(self, omega):
-        """Cumulative mode count N(omega), multiplicity included."""
-        return int(np.sum(self.multiplicity[self.omega <= omega]))
+        """Cumulative mode count N(omega), multiplicity included.
+
+        ``omega`` may be an array; the result then has its shape.
+        """
+        counts = self._n_cumulative[
+            np.searchsorted(self.omega, omega, side="right")]
+        return int(counts) if np.ndim(counts) == 0 else counts
 
     def families_present(self):
         return sorted(set(self.family.tolist()))
@@ -477,7 +489,7 @@ class ModeList:
             vol = (w_hi ** 3 - w_lo ** 3) / 3.0
             return (self.count - n_lo) / vol, 0.0
         edges = np.linspace(w_lo, w_hi, 40)[1:]
-        counts = np.array([self.n_below(w) - n_lo for w in edges], dtype=float)
+        counts = (self.n_below(edges) - n_lo).astype(float)
         design = np.column_stack([(edges ** 3 - w_lo ** 3) / 3.0,
                                   (edges ** 2 - w_lo ** 2) / 2.0])
         (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import datetime
 import json
 import re
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cavityheat.cli as cli
 from cavityheat.casimir import RegulatorKind, min_usable_gamma
 from cavityheat.cli import main
 from cavityheat.errors import (
@@ -453,7 +457,17 @@ class TestPipeline:
                  casimir + ["--out", "heat"],
                  casimir + ["--regulator", "sqrt", "--out", "sqrt"])
         runs = []
-        for _ in range(2):
+        for chain in range(2):
+            if chain:
+                # the second chain runs an hour later, so a manifest clock
+                # field that leaks into an input digest changes its bytes
+                later = datetime.timedelta(hours=1)
+                now, clock = datetime.datetime.now, time.time
+                monkeypatch.setattr(cli, "time", SimpleNamespace(
+                    time=lambda: clock() + later.total_seconds()))
+                monkeypatch.setattr(cli, "datetime", SimpleNamespace(
+                    datetime=SimpleNamespace(now=lambda tz: now(tz) + later),
+                    timezone=datetime.timezone))
             for argv in steps:
                 assert main(argv) == 0, argv
             # every file byte for byte, the manifest clock fields aside

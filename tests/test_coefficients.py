@@ -11,6 +11,7 @@ with tr L = 2, det L = 1, area 4 pi, volume 4 pi / 3, genus 0:
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -95,8 +96,8 @@ class TestMoments:
             self, model, monkeypatch):
         grid = coefficients.curvature_grid
 
-        def nan_at_one_node(chart, U, V, order=2):
-            g = dict(grid(chart, U, V, order=order))
+        def nan_at_one_node(chart, U, V, order=2, names=None):
+            g = dict(grid(chart, U, V, order=order, names=names))
             g["trL"] = np.array(g["trL"])
             g["trL"][1, 2] = np.nan
             return g
@@ -108,6 +109,19 @@ class TestMoments:
         with pytest.raises(EvaluationError,
                            match=re.escape(f"{chart.name!r} at {node}")):
             compute_moments(model, Q16)
+
+    def test_order_64_torus_peak_memory(self):
+        # the grids hold only the fields the integrals read, and one
+        # block's jets at a time
+        model, q64 = torus(2.0, 0.5), QuadratureSpec(order=64)
+        compute_moments(model, q64)      # compile and cache the chart first
+        tracemalloc.start()
+        try:
+            compute_moments(model, q64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestEmCoefficients:

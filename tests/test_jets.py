@@ -75,6 +75,31 @@ def test_open_mesh_and_blocks_change_no_value(monkeypatch):
         assert np.array_equal(value, blocked[name]), name
 
 
+@pytest.mark.parametrize("order, names", [
+    (2, ("w",)),
+    (2, ("r", "n")),
+    (3, ("w", "trL", "detL", "grad_trL_sq")),
+    (4, ("w", "trL", "lap_trL")),
+])
+def test_named_fields_equal_the_full_grid(monkeypatch, order, names):
+    chart = torus(2.0, 0.5).charts[0]
+    U, V, _ = QuadratureSpec(order=8).grid(chart)
+    monkeypatch.setattr(curvature, "_BLOCK", 40)    # eight blocks of 2 rows
+    full = curvature.curvature_grid(chart, U, V, order=order)
+    named = curvature.curvature_grid(chart, U, V, order=order, names=names)
+    assert tuple(named) == names
+    for name in names:
+        assert np.array_equal(named[name], full[name]), name
+
+
+def test_unknown_field_name_raises():
+    chart = torus(2.0, 0.5).charts[0]
+    U, V, _ = QuadratureSpec(order=8).grid(chart)
+    with pytest.raises(ValueError, match="'lap_trL' at order 3"):
+        curvature.curvature_grid(chart, U, V, order=3,
+                                 names=("w", "lap_trL"))
+
+
 def test_constant_component_chart():
     chart = SurfaceChart.from_expressions(
         "u", "v", "1/2", u_range=(0, 1), v_range=(0, 1), name="lifted plane")

@@ -657,6 +657,18 @@ class TestModeListPlumbing:
                          radius=em30.radius, omega_max=em30.omega_max)
         assert shifted.density == fresh.density != em30.density
 
+    @pytest.mark.parametrize("omega_max", [15.0, 40.0, 90.0])
+    @pytest.mark.parametrize("enumerate_modes",
+                             [em_modes, dirichlet_modes, neumann_modes])
+    def test_counts_equal_a_masked_loop(self, enumerate_modes, omega_max):
+        modes = enumerate_modes(omega_max)
+        points = np.concatenate([np.linspace(0.0, omega_max + 1.0, 61),
+                                 modes.omega[[0, 1, len(modes) // 2, -1]]])
+        want = [masked_count(modes, w) for w in points]
+        assert [modes.n_below(w) for w in points] == want
+        assert modes.n_below(points).tolist() == want
+        assert modes.density == masked_loop_density(modes)
+
     @pytest.mark.parametrize("name", ["family", "l", "m", "multiplicity",
                                       "lam", "omega", "weighted_omega"])
     def test_arrays_are_read_only(self, em30, name):
@@ -688,6 +700,27 @@ class TestModeListPlumbing:
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError, match="zero or negative"):
             single_mode(lam=0.0)
+
+
+def masked_count(modes, omega):
+    """N(omega) from a mask over the whole list: the counting reference."""
+    return int(np.sum(modes.multiplicity[modes.omega <= omega]))
+
+
+def masked_loop_density(modes):
+    """ModeList.density with one masked count per calibration edge."""
+    w_hi = modes.omega_max
+    w_lo = spectrum.TAIL_CALIBRATION_WINDOW * w_hi
+    n_lo = masked_count(modes, w_lo)
+    if modes.count - n_lo < 500:
+        return (modes.count - n_lo) / ((w_hi ** 3 - w_lo ** 3) / 3.0), 0.0
+    edges = np.linspace(w_lo, w_hi, 40)[1:]
+    counts = np.array([masked_count(modes, w) - n_lo for w in edges],
+                      dtype=float)
+    design = np.column_stack([(edges ** 3 - w_lo ** 3) / 3.0,
+                              (edges ** 2 - w_lo ** 2) / 2.0])
+    (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
+    return float(c2), float(c1)
 
 
 def bisect_reference(f, lo, hi, iterations=63):
