@@ -5,7 +5,11 @@ run manifest: ``coeffs`` (surface -> coefficient report JSON),
 ``modes`` (ball spectra -> CSV + sidecar), ``trace`` (modes + t-grid ->
 CSV), ``fit`` (trace CSV -> fit JSON), ``casimir`` (modes + coefficient
 JSON -> remainder-scan report) and ``verify`` (exact table relations
-plus curvature-identity residuals).
+plus curvature-identity residuals).  ``coeffs --surface`` names one of
+three stock surfaces (sphere(1), ellipsoid(1, 1.3, 1.7), torus(2, 0.5))
+or a surface file; ``fit`` fits every row of its trace.  A manifest's
+``config`` holds every option of the subcommand and its ``inputs`` the
+digest of every file read, a mode list's sidecar included.
 
 Exit codes: 0 success; 1 usage error; 2 numerical-tolerance failure,
 with machine-readable diagnostics on standard error.
@@ -135,11 +139,11 @@ def _surface_from_args(args, parser):
 
     spec = args.surface
     if spec == "sphere":
-        return sphere(args.radius), None
+        return sphere(1.0), None
     if spec == "ellipsoid":
-        return ellipsoid(*args.axes), None
+        return ellipsoid(1.0, 1.3, 1.7), None
     if spec == "torus":
-        return torus(args.ring_radius, args.tube_radius), None
+        return torus(2.0, 0.5), None
     if spec.startswith("file:"):
         return load_surface(spec[5:]), Path(spec[5:])
     parser.error(f"unknown surface {spec!r}")
@@ -199,10 +203,7 @@ def _cmd_coeffs(args, parser):
         "phi_expansion": phi_expansion(em.values).as_dict(),
     }
     if topo.connected_boundary:
-        d3 = delta_a3(topo, a3l.value)
-        payload["delta_a3"] = {"value": d3.value,
-                               "nonlocal_sum": str(d3.nonlocal_sum)}
-        payload["mode_count"] = d3.as_dict()
+        payload["mode_count"] = delta_a3(topo, a3l.value).as_dict()
     payload["manifest"] = _manifest(args, [inputs] if inputs else [], t0)
 
     _write_json(_out_dir(args) / "coeffs.json", payload)
@@ -244,15 +245,15 @@ def _cmd_trace(args, parser):
     if not args.t_lo < args.t_hi:
         raise ValueError(f"--t-lo {args.t_lo:g} must be below "
                          f"--t-hi {args.t_hi:g}")
-    from .spectrum import ModeList, heat_trace_samples
+    from .spectrum import ModeList, heat_trace_samples, sidecar_path
 
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
     ts = np.geomspace(args.t_lo, args.t_hi, args.t_points)
-    t, K, bound = heat_trace_samples(modes, ts, rtol=args.rtol)
+    t, K, bound = heat_trace_samples(modes, ts)
     _write_csv(_out_dir(args) / "trace.csv", "t,K,bound", t, K, bound)
     _write_json(_out_dir(args) / "trace.manifest.json",
-                _manifest(args, [args.modes], t0))
+                _manifest(args, [args.modes, sidecar_path(args.modes)], t0))
     return 0
 
 
@@ -287,33 +288,24 @@ def _cmd_fit(args, parser):
         raise ValueError(f"{args.trace}: data row {i + 1} needs finite t > 0,"
                          f" K and bound >= 0, got t={t[i]:g}, K={K[i]:g}, "
                          f"bound={bound[i]:g}")
-    keep = np.ones(len(t), dtype=bool)
-    if args.t_lo is not None:
-        keep &= t >= args.t_lo
-    if args.t_hi is not None:
-        keep &= t <= args.t_hi
-    samples = t[keep], K[keep], bound[keep]
-    pinned = {-1.0: 0.0} if args.pin_a1_zero else {}
     try:
-        # an empty window reaches the sample-count check with (inf, -inf)
-        config = FitConfig(t_lo=float(samples[0].min(initial=math.inf)),
-                           t_hi=float(samples[0].max(initial=-math.inf)),
-                           n_points=len(samples[0]), pinned=pinned)
+        # a header-only trace reaches the sample-count check with
+        # (inf, -inf)
+        config = FitConfig(t_lo=float(t.min(initial=math.inf)),
+                           t_hi=float(t.max(initial=-math.inf)),
+                           n_points=len(t))
     except ValueError as err:
-        n = len(samples[0])
-        where = ("" if keep.all() else
-                 f" in the window [{args.t_lo}, {args.t_hi}]")
-        raise ValueError(f"{args.trace} has {n} data row{'s' * (n != 1)}"
-                         f"{where}: {err}") from None
-    result = fit_coefficients(samples, config)
+        n = len(t)
+        raise ValueError(f"{args.trace} has {n} data row{'s' * (n != 1)}: "
+                         f"{err}") from None
+    result = fit_coefficients((t, K, bound), config)
     payload = {"schema_version": SCHEMA_VERSION,
                "fit": result.as_dict(),
                "a_n": {f"a{n}": result.a(n) for n in range(6)},
                "manifest": _manifest(args, [args.trace], t0)}
     _write_json(_out_dir(args) / "fit.json", payload)
-    model = sum(result.value(e) * samples[0] ** e for e in config.exponents)
-    _write_csv(_out_dir(args) / "fit_curve.csv", "t,K,model",
-               samples[0], samples[1], model)
+    model = sum(result.value(e) * t ** e for e in config.exponents)
+    _write_csv(_out_dir(args) / "fit_curve.csv", "t,K,model", t, K, model)
     if result.condition_number > CONDITION_REPORT:
         print(f"note: condition number {result.condition_number:.3g}",
               file=sys.stderr)
@@ -325,7 +317,8 @@ def _em_values(path):
     try:
         # integers read as floats, too large ones as inf
         doc = json.loads(Path(path).read_text(), parse_int=float)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: nesting deeper than the decoder follows
         raise ValueError(f"{path}: malformed JSON ({err})") from None
     try:
         values = doc["em"]["values"]
@@ -346,7 +339,7 @@ def _cmd_casimir(args, parser):
         raise ValueError(f"--gamma-lo {args.gamma_lo:g} must be below "
                          f"--gamma-hi {args.gamma_hi:g}")
     from .casimir import RegulatorKind, divergence_prediction, remainder_scan
-    from .spectrum import ModeList
+    from .spectrum import ModeList, sidecar_path
 
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
@@ -356,13 +349,14 @@ def _cmd_casimir(args, parser):
     gammas = np.geomspace(args.gamma_lo, args.gamma_hi, args.gamma_points)
     scan = remainder_scan(modes, pred, gammas, z_threshold=args.z_threshold)
 
+    inputs = [args.modes, sidecar_path(args.modes), args.coeffs]
     out = _out_dir(args)
     _write_csv(out / "scan.csv", "gamma,S,prediction,remainder",
                scan.gammas, scan.values, scan.prediction, scan.remainder)
     payload = {"schema_version": SCHEMA_VERSION,
                "prediction": pred.as_dict(),
                "scan": scan.as_dict(),
-               "manifest": _manifest(args, [args.modes, args.coeffs], t0)}
+               "manifest": _manifest(args, inputs, t0)}
     _write_json(out / "casimir.json", payload)
     if not scan.finite:
         raise ToleranceFailure(
@@ -450,11 +444,6 @@ def build_parser():
     p = sub.add_parser("coeffs", help="curvature-integral coefficients")
     p.add_argument("--surface", default="sphere",
                    help="sphere | ellipsoid | torus | file:PATH")
-    p.add_argument("--radius", type=positive_float, default=1.0)
-    p.add_argument("--axes", type=positive_float, nargs=3,
-                   default=(1.0, 1.3, 1.7), metavar=("A", "B", "C"))
-    p.add_argument("--ring-radius", type=positive_float, default=2.0)
-    p.add_argument("--tube-radius", type=positive_float, default=0.5)
     p.add_argument("--quad-order", type=positive_int, default=32)
     add_out(p)
     p.set_defaults(func=_cmd_coeffs)
@@ -471,16 +460,11 @@ def build_parser():
     p.add_argument("--t-lo", type=positive_float, default=0.006)
     p.add_argument("--t-hi", type=positive_float, default=0.06)
     p.add_argument("--t-points", type=positive_int, default=40)
-    p.add_argument("--rtol", type=positive_float, default=1e-8)
     add_out(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("fit", help="coefficients from a trace CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--t-lo", type=positive_float)
-    p.add_argument("--t-hi", type=positive_float)
-    p.add_argument("--pin-a1-zero", action="store_true",
-                   help="pin the t^-1 coefficient to 0")
     add_out(p)
     p.set_defaults(func=_cmd_fit)
 

@@ -41,6 +41,8 @@ frequency sums, the squared-resolvent trace) is one entry of _SUMS: its
 terms, whose correctly rounded sum exact_sum gives in a few array
 passes, and the closed-form tail of the calibrated density above the
 cutoff.  sum_parts keeps the last 256 (raw, tail) pairs on each list.
+A heat-trace point is usable while its tail is at most HEAT_TRACE_RTOL
+= 1e-8 times the raw sum.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
     "resolvent2_trace",
     "resolvent2_expansion",
     "min_usable_t",
+    "sidecar_path",
 ]
 
 FAMILIES = ("TE", "TM", "DIRICHLET", "NEUMANN")
@@ -86,6 +89,9 @@ FAMILIES = ("TE", "TM", "DIRICHLET", "NEUMANN")
 # weights alike; 4% keeps a severalfold margin everywhere.
 TAIL_CALIBRATION_WINDOW = 0.5
 TAIL_DENSITY_RELERR = 0.04
+
+# largest tail-to-raw ratio at which a heat-trace point is usable
+HEAT_TRACE_RTOL = 1e-8
 
 # Width each zero-ladder level is refined to before the next level is
 # bracketed from it: far below the gap between zeros of neighbouring
@@ -527,37 +533,38 @@ class ModeList:
                 "zero_modes_excluded": True,
             },
         }
-        sidecar_path = path.with_name(path.name + ".meta.json")
-        sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-        return path, sidecar_path
+        meta_path = sidecar_path(path)
+        meta_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+        return path, meta_path
 
     @classmethod
     def from_csv(cls, path):
         path = Path(path)
-        sidecar_path = path.with_name(path.name + ".meta.json")
-        if not sidecar_path.exists():
+        meta_path = sidecar_path(path)
+        if not meta_path.exists():
             raise FileNotFoundError(
-                f"missing sidecar {sidecar_path.name}; mode CSVs carry their "
+                f"missing sidecar {meta_path.name}; mode CSVs carry their "
                 "radius and cutoff in a JSON sidecar")
         try:
             # integers read as floats, too large ones as inf
-            meta = json.loads(sidecar_path.read_text(), parse_int=float)
+            meta = json.loads(meta_path.read_text(), parse_int=float)
             values = [meta[k] for k in ("radius", "omega_max")]
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
+            # RecursionError: nesting deeper than the decoder follows
             raise ValueError(
-                f"{sidecar_path.name}: malformed JSON ({err})") from None
+                f"{meta_path.name}: malformed JSON ({err})") from None
         except KeyError as err:
             raise ValueError(
-                f"{sidecar_path.name} has no {err.args[0]!r} key") from None
+                f"{meta_path.name} has no {err.args[0]!r} key") from None
         except TypeError:           # not a JSON object
             values = []
         # JSON numbers only: true and false are not, nor are strings
         if not (values and all(type(v) is float for v in values)):
-            raise ValueError(f"{sidecar_path.name} must map 'radius' and "
+            raise ValueError(f"{meta_path.name} must map 'radius' and "
                              "'omega_max' to numbers")
         radius, omega_max = values
         for name, value in zip(("radius", "omega_max"), values):
-            _require_positive(f"{sidecar_path.name}: {name}", value)
+            _require_positive(f"{meta_path.name}: {name}", value)
         columns = {name: [] for name in _CSV_TYPES}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -586,6 +593,12 @@ class ModeList:
             lam=np.array(columns["lambda"]),
             radius=radius, omega_max=omega_max, note=meta.get("note", ""),
         )
+
+
+def sidecar_path(path):
+    """The JSON sidecar beside a mode CSV: its radius and cutoff."""
+    path = Path(path)
+    return path.with_name(path.name + ".meta.json")
 
 
 # ---------------------------------------------------------------------------
@@ -759,30 +772,31 @@ def sum_parts(modes, name, x):
     return memo[key]
 
 
-def heat_trace(modes: ModeList, t, rtol=1e-8):
+def heat_trace(modes: ModeList, t):
     """K(t) = sum multiplicity * exp(-t lambda), with truncation bound.
 
     Returns (value, bound).  Raises CutoffTooLowError carrying the
-    minimum usable t when the truncation tail exceeds rtol * K(t).
+    minimum usable t when the truncation tail exceeds
+    HEAT_TRACE_RTOL * K(t).
     """
     value, bound = sum_parts(modes, "heat_trace", t)
-    if bound > rtol * value:
-        t_min = min_usable_t(modes, rtol)
+    if bound > HEAT_TRACE_RTOL * value:
+        t_min = min_usable_t(modes)
         raise CutoffTooLowError(
-            f"heat trace truncation {bound:.3g} exceeds {rtol:g} * K at t={t:g}; "
-            f"minimum usable t ~ {t_min:.4g}", t_min)
+            f"heat trace truncation {bound:.3g} exceeds {HEAT_TRACE_RTOL:g} "
+            f"* K at t={t:g}; minimum usable t ~ {t_min:.4g}", t_min)
     return value, bound
 
 
-def min_usable_t(modes: ModeList, rtol=1e-8):
+def min_usable_t(modes: ModeList):
     """Smallest t at which heat_trace accepts the truncation."""
-    return smallest_usable(modes, "heat_trace", rtol, 1e-8, 10.0)
+    return smallest_usable(modes, "heat_trace", HEAT_TRACE_RTOL, 1e-8, 10.0)
 
 
-def heat_trace_samples(modes: ModeList, ts, rtol=1e-8):
+def heat_trace_samples(modes: ModeList, ts):
     """K(t) over a t-grid; returns (t, K, bound) arrays."""
     ts = np.asarray(ts, dtype=float)
-    rows = [heat_trace(modes, float(t), rtol=rtol) for t in ts]
+    rows = [heat_trace(modes, float(t)) for t in ts]
     K, bounds = np.array(rows, dtype=float).reshape(len(ts), 2).T
     return ts, K, bounds
 

@@ -19,6 +19,7 @@ from cavityheat.errors import (
     IllPosedFitError,
     SingularChartError,
 )
+from cavityheat.geometry import ellipsoid, sphere, torus
 from cavityheat.spectrum import ModeList
 from test_identities import plant_tr_Pab_Pab
 
@@ -49,7 +50,7 @@ def run(tmp_path, *argv):
 
 class TestCoeffs:
     def test_sphere_report(self, tmp_path):
-        assert run(tmp_path, "coeffs", "--surface", "sphere", "--radius", 1) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere") == 0
         doc = json.loads((tmp_path / "coeffs.json").read_text())
         assert doc["em"]["values"][3] == pytest.approx(0.625, rel=1e-10)
         assert doc["em"]["values"][1] == 0.0
@@ -58,6 +59,20 @@ class TestCoeffs:
         assert doc["mode_count"]["count"] == pytest.approx(0.25)
         assert "flag" in doc["a3_local_kappa_variant"]
         assert doc["manifest"]["tool"]["name"] == "cavityheat"
+
+    @pytest.mark.parametrize("surface, model", [
+        ("sphere", sphere(1.0)), ("ellipsoid", ellipsoid(1.0, 1.3, 1.7)),
+        ("torus", torus(2.0, 0.5))], ids=["sphere", "ellipsoid", "torus"])
+    def test_stock_surface(self, tmp_path, surface, model):
+        # each stock name builds one fixed model, and the manifest
+        # records only the options that shaped the run
+        assert run(tmp_path, "coeffs", "--surface", surface,
+                   "--quad-order", 16) == 0
+        doc = json.loads((tmp_path / "coeffs.json").read_text())
+        assert doc["gauss_bonnet"]["ok"]
+        assert doc["surface"]["name"] == model.name
+        assert set(doc["manifest"]["config"]) == {
+            "out", "quad_order", "subcommand", "surface"}
 
     def test_torus_report(self, tmp_path):
         assert run(tmp_path, "coeffs", "--surface", "torus",
@@ -130,9 +145,10 @@ class TestUsageErrors:
         '{"em": {"values": [true, 0, -0.75, 0.625, 0, 0]}}',
         '{"em": {"values": [0.1, "0", -0.75, 0.625, 0, 0]}}',
         '{"em": {"values": "100000"}}',
+        "[" * 200_000,
     ], ids=["malformed-json", "no-em-values", "missing", "nan-value",
             "inf-value", "minus-inf-value", "bool-value", "string-value",
-            "string-list"])
+            "string-list", "deep-nesting"])
     def test_bad_coeffs_file_exits_1(self, tmp_path, capsys, text):
         assert run(tmp_path, "modes", "--omega-max", 10) == 0
         coeffs = tmp_path / "coeffs.json"
@@ -163,9 +179,11 @@ class TestUsageErrors:
         ("meta-text", lambda text: text.replace('"', "", 1)),
         ("meta", lambda meta: {**meta, "radius": "abc"}),
         ("meta", lambda meta: {**meta, "radius": True}),
+        ("meta-text", lambda text: "[" * 200_000),
     ], ids=["nan-lambda", "inf-lambda", "unknown-family", "long-family",
             "missing-column", "short-row", "negative-radius", "missing-key", "null-radius",
-            "not-an-object", "malformed-json", "string-radius", "bool-radius"])
+            "not-an-object", "malformed-json", "string-radius", "bool-radius",
+            "deep-nesting"])
     def test_bad_mode_file_exits_1(self, tmp_path, capsys, edit):
         assert run(tmp_path, "modes", "--omega-max", 10) == 0
         kind, change = edit
@@ -332,9 +350,9 @@ def small_run(tmp_path_factory):
       "--gamma-lo", "0"), "--gamma-lo"),
     (("modes", "--radius", "-1", "--omega-max", "20"), "--radius"),
     (("modes", "--omega-max", "nan"), "--omega-max"),
-    (("coeffs", "--surface", "ellipsoid", "--axes", "1", "1", "nan"),
-     "--axes"),
-    (("fit", "--trace", "{trace}", "--t-lo", "10"), "window"),
+    (("coeffs", "--surface", "file:{surf}", "--radius", "7"), "--radius"),
+    (("trace", "--modes", "{modes}", "--rtol", "1e-9"), "--rtol"),
+    (("fit", "--trace", "{trace}", "--pin-a1-zero"), "--pin-a1-zero"),
     (("fit", "--trace", "{trace1}"), "trace1.csv has 1 data row:"),
     (("fit", "--trace", "{trace5}"), "trace5.csv has 5 data rows:"),
     (("fit", "--trace", "{trace0}"), "trace0.csv has 0 data rows:"),
@@ -350,7 +368,8 @@ def small_run(tmp_path_factory):
         "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
         "casimir-gamma-lo-zero",
         "modes-radius-negative",
-        "modes-omega-max-nan", "coeffs-axis-nan", "fit-empty-window",
+        "modes-omega-max-nan", "coeffs-removed-radius",
+        "trace-removed-rtol", "fit-removed-pin-a1-zero",
         "fit-one-row", "fit-five-rows", "fit-header-only", "fit-empty-file",
         "fit-other-columns", "fit-short-row", "fit-long-row"])
 def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
@@ -358,6 +377,7 @@ def test_bad_numeric_option_exits_1(small_run, tmp_path, capsys, argv,
     files = {k: small_run / f for k, f in (
         ("modes", "modes_em.csv"), ("trace", "trace.csv"),
         ("coeffs", "coeffs.json"))}
+    files["surf"] = Path(__file__).parents[1] / "demos/squashed_torus.surf"
     # the trace cut to its header and first rows, and an empty file
     lines = files["trace"].read_text().splitlines(keepends=True)
     for rows in (0, 1, 5):
@@ -500,6 +520,36 @@ class TestPipeline:
                                wall_time_s=123.456)
         coeffs.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         assert casimir_inputs() == before and str(coeffs) in before
+
+    def test_input_digests_cover_the_sidecar(self, tmp_path):
+        # the sidecar's omega_max sets every truncation tail, so an edit
+        # to it alone must show in the manifests that read the list
+        assert run(tmp_path, "modes", "--omega-max", 40) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+
+        def inputs(casimir_exit):
+            modes = tmp_path / "modes_em.csv"
+            assert run(tmp_path, "trace", "--modes", modes,
+                       "--t-lo", 0.015, "--t-hi", 0.09) == 0
+            assert run(tmp_path, "casimir", "--modes", modes,
+                       "--coeffs", tmp_path / "coeffs.json") == casimir_exit
+            trace = json.loads((tmp_path / "trace.manifest.json").read_text())
+            casimir = json.loads((tmp_path / "casimir.json").read_text())
+            return trace["inputs"], casimir["manifest"]["inputs"]
+
+        before = inputs(0)
+        meta = tmp_path / "modes_em.csv.meta.json"
+        meta.write_text(meta.read_text().replace('"omega_max": 40.0',
+                                                 '"omega_max": 40.4'))
+        # the edited tails leave out the modes in (40, 40.4], which the
+        # scan reads as a half-power at z -2.005: exit 2, after
+        # casimir.json is written
+        after = inputs(2)
+        for old, new in zip(before, after):
+            changed = {k for k in old.keys() | new.keys()
+                       if old.get(k) != new.get(k)}
+            assert changed == {str(meta)}
 
     def test_verify_passes(self, tmp_path):
         assert run(tmp_path, "verify", "--seed", 7, "--points", 2,

@@ -141,9 +141,14 @@ class TestErrorBars:
 
 
 def test_min_usable_t_ties_window_to_truncation_model():
-    from cavityheat.spectrum import em_modes, heat_trace, min_usable_t
+    from cavityheat.spectrum import (
+        HEAT_TRACE_RTOL,
+        em_modes,
+        heat_trace,
+        min_usable_t,
+    )
 
     modes = em_modes(30.0)
-    t_lo = min_usable_t(modes, rtol=1e-10)
-    K, bound = heat_trace(modes, 1.01 * t_lo, rtol=1e-9)
-    assert bound <= 1e-9 * K
+    t_lo = min_usable_t(modes)
+    K, bound = heat_trace(modes, 1.01 * t_lo)
+    assert bound <= HEAT_TRACE_RTOL * K
