@@ -100,23 +100,23 @@ def _retain_heap():
     return bool(mallopt(-3, _MMAP_THRESHOLD) and mallopt(-1, _TRIM_THRESHOLD))
 
 
-def _blockwise(fields, u, v):
+def _blockwise(fields, u, v, block=_BLOCK):
     """``fields(u, v)``, a dict of arrays, evaluated on blocks of rows of
     the broadcast (u, v) grid and assembled.
 
     Only the arrays ``fields`` returns get a whole-grid output.  Blocks
-    hold up to ``_BLOCK`` nodes, so one block's jets (about 7 MiB at
-    order 3, 13 MiB at order 4) are alive at a time, and their memory
-    is reused from block to block (:func:`_retain_heap`).  Every field
-    is elementwise in the points, so the result does not depend on the
-    blocking.
+    hold up to ``block`` nodes, so one block's jets (about 7 MiB at
+    order 3, 13 MiB at order 4 with ``_BLOCK``) are alive at a time, and
+    their memory is reused from block to block (:func:`_retain_heap`).
+    Every field is elementwise in the points, so the result does not
+    depend on the blocking.
     """
     _retain_heap()
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape)
-    if math.prod(shape) <= _BLOCK:
+    if math.prod(shape) <= block:
         return fields(u, v)
-    step = max(1, _BLOCK // math.prod(shape[1:]))
+    step = max(1, block // math.prod(shape[1:]))
     tail = (slice(None),) * (len(shape) - 1)
     out = {}
     for lo in range(0, shape[0], step):

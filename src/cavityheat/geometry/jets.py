@@ -9,7 +9,9 @@ and within a degree by the power of t, so a truncation is a prefix and
 a vector or matrix field is one jet.  Value shapes broadcast as numpy
 arrays do, aligned from the right: on the open mesh of a quadrature
 grid (u of shape (n, 1), v of shape (1, m)) a factor that depends on u
-alone is carried at n points, not n * m.
+alone is carried at n points, not n * m.  A matrix field keeps its two
+index axes first and its point axes last; ``T`` and ``@`` act on those
+index axes.
 
 Sums act coefficient-wise, products are truncated Cauchy convolutions,
 d/du and d/dv shift coefficients and lower the order by one, and an
@@ -156,7 +158,10 @@ class Jet:
 
     @property
     def T(self):
-        return Jet(self.c.swapaxes(-1, -2), self.order, self.dep)
+        return Jet(self.c.swapaxes(1, 2), self.order, self.dep)
+
+    def __matmul__(self, other):
+        return (self[:, :, None] * other[None]).sum(1)
 
     def derivative(self, du, dv):
         """d^(du+dv) f / du^du dv^dv at the base points."""

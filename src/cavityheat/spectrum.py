@@ -107,6 +107,11 @@ _CSV_TYPES = {"family": str, "l": int, "m": int, "multiplicity": int,
               "lambda": float}
 
 
+class _SidecarError(ValueError):
+    """A mode list's radius or cutoff, the values of its sidecar, that is
+    not finite and positive or disagrees with its rows."""
+
+
 def spherical_jn(l, x, derivative=False):
     """j_l(x) (or j_l'(x)) for x >= 0 from scipy's compiled kernels,
     imported at the first call.
@@ -347,9 +352,9 @@ def _rows(family, l, roots, radius):
     }
 
 
-def _require_positive(name, value):
+def _require_positive(name, value, error=ValueError):
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 def _enumerate(families, omega_max, radius, note):
@@ -418,7 +423,12 @@ class ModeList:
                              f"expected one of {', '.join(FAMILIES)}")
         object.__setattr__(self, "family", family.astype("U9"))
         for name in ("radius", "omega_max"):
-            _require_positive(name, getattr(self, name))
+            _require_positive(name, getattr(self, name), _SidecarError)
+        above = np.sqrt(lam) > self.omega_max * (1.0 + 1e-12)   # rounding
+        if np.any(above):
+            raise _SidecarError(
+                f"omega_max {self.omega_max:g} lies below {np.sum(above)} of "
+                f"the {len(lam)} rows, which reach {np.sqrt(lam.max()):.6g}")
         if np.any(np.asarray(self.multiplicity) < 1):
             raise ValueError("multiplicities must be positive")
         order = np.lexsort((self.l, self.family, lam))
@@ -481,7 +491,9 @@ class ModeList:
         absorbs the surface correction empirically.  Falls back to the
         single leading term when the list is too small for a stable
         two-parameter fit; ValueError below 20 calibrating modes, as a
-        zero tail would pass every truncation bound.  Computed once.
+        zero tail would pass every truncation bound, and for a fitted
+        c2 <= 0, the mark of an ``omega_max`` beyond the list's end.
+        Computed once.
         """
         w_hi = self.omega_max
         w_lo = TAIL_CALIBRATION_WINDOW * w_hi
@@ -499,6 +511,10 @@ class ModeList:
         design = np.column_stack([(edges ** 3 - w_lo ** 3) / 3.0,
                                   (edges ** 2 - w_lo ** 2) / 2.0])
         (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
+        if not c2 > 0:
+            raise _SidecarError(
+                f"omega_max {w_hi:g} lies beyond the end of the mode list: "
+                f"its calibrated density has c2 = {c2:.3g} <= 0")
         return float(c2), float(c1)
 
     @cached_property
@@ -563,8 +579,6 @@ class ModeList:
             raise ValueError(f"{meta_path.name} must map 'radius' and "
                              "'omega_max' to numbers")
         radius, omega_max = values
-        for name, value in zip(("radius", "omega_max"), values):
-            _require_positive(f"{meta_path.name}: {name}", value)
         columns = {name: [] for name in _CSV_TYPES}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -586,13 +600,19 @@ class ModeList:
                 for (name, convert), values in zip(_CSV_TYPES.items(),
                                                    zip(*picked)):
                     columns[name].extend(map(convert, values))
-        return cls(
-            family=np.array(columns["family"]), l=np.array(columns["l"]),
-            m=np.array(columns["m"]),
-            multiplicity=np.array(columns["multiplicity"]),
-            lam=np.array(columns["lambda"]),
-            radius=radius, omega_max=omega_max, note=meta.get("note", ""),
-        )
+        modes = None
+        try:
+            modes = cls(lam=np.array(columns.pop("lambda")), radius=radius,
+                        omega_max=omega_max, note=meta.get("note", ""),
+                        **{k: np.array(v) for k, v in columns.items()})
+            modes.density
+        except _SidecarError as err:
+            raise ValueError(f"{meta_path.name}: {err}") from None
+        except ValueError:
+            if modes is None:           # the rows themselves are invalid
+                raise
+            # too few modes to calibrate: raised where a tail is needed
+        return modes
 
 
 def sidecar_path(path):

@@ -320,6 +320,31 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega_max, detail", [
+        (38.0, "lies below 38 of the 374 rows, which reach 39.9961"),
+        (44.0, "lies beyond the end of the mode list: its calibrated "
+               "density has c2 = -0.0887 <= 0"),
+    ], ids=["below-the-rows", "beyond-the-end"])
+    @pytest.mark.parametrize("command", ["trace", "casimir"])
+    def test_cutoff_that_disagrees_with_the_rows_exits_1(
+            self, tmp_path, capsys, command, omega_max, detail):
+        assert run(tmp_path, "modes", "--omega-max", 40) == 0
+        assert run(tmp_path, "coeffs", "--quad-order", 16) == 0
+        meta = tmp_path / "modes_em.csv.meta.json"
+        meta.write_text(meta.read_text().replace(
+            '"omega_max": 40.0', f'"omega_max": {omega_max}'))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--modes", str(tmp_path / "modes_em.csv"),
+                "--out", str(out)]
+        if command == "casimir":
+            argv += ["--coeffs", str(tmp_path / "coeffs.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: modes_em.csv.meta.json: omega_max {omega_max:g} "
+            f"{detail}\n")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -574,10 +599,12 @@ class TestPipeline:
     def test_verify_catches_a_planted_relative_error(self, tmp_path, capsys,
                                                       monkeypatch):
         # 1e-8 of one right-side term is below any fixed residual bound
-        # of 1e-6 but far above the rounding model of the residuals
+        # of 1e-6 but far above the rounding model of the residuals; it
+        # is planted at every point of a batch of 2 or of 5
         plant_tr_Pab_Pab(monkeypatch, 1e-8)
-        assert run(tmp_path, "verify", "--seed", 7, "--points", 2,
-                   "--quad-order", 24) == 2
-        doc = json.loads(capsys.readouterr().err)
-        assert doc["diagnostics"]["failures"] == ["identity:ellipsoid",
-                                                  "identity:torus"]
+        for points in (2, 5):
+            assert run(tmp_path / str(points), "verify", "--seed", 7,
+                       "--points", points, "--quad-order", 24) == 2
+            doc = json.loads(capsys.readouterr().err)
+            assert doc["diagnostics"]["failures"] == ["identity:ellipsoid",
+                                                      "identity:torus"]

@@ -49,6 +49,21 @@ def test_gathered_and_termwise_products_agree(monkeypatch):
             <= 4 * np.finfo(float).eps * scale)
 
 
+@pytest.mark.parametrize("points", [(), (4,), (2, 3)])
+def test_transpose_and_matmul_act_on_the_index_axes(points):
+    """A matrix field has index axes [i, j] first and its point axes
+    last; T and @ are the pointwise matrix operations at every order."""
+    rng = np.random.default_rng(5)
+    a = jets.Jet(rng.normal(size=(jets.size(2), 2, 3) + points), 2)
+    b = jets.Jet(rng.normal(size=(jets.size(2), 3, 2) + points), 2)
+    assert np.array_equal(a.T.c, np.einsum("kij...->kji...", a.c))
+    # Leibniz: the product coefficient (1, 1) of d^2/du dv
+    want = sum(np.einsum("ij...,jk...->ik...", a.c[p], b.c[q])
+               for p, q in [(0, 4), (1, 2), (2, 1), (4, 0)])
+    assert np.allclose((a @ b).c[4], want, rtol=1e-14, atol=1e-14)
+    assert (a @ b).c.shape == (jets.size(2), 2, 2) + points
+
+
 def test_derivative_shifts_compose():
     fn = compile_expression(EXPRESSIONS[0], {}, ("u", "v"))
     jet = fn(jets.Jet.variable(0.7, 0, ORDER),

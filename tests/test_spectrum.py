@@ -649,11 +649,12 @@ class TestModeListPlumbing:
 
     def test_replace_gets_its_own_density(self, em30):
         em30.density  # fills the cached density of the original
-        lam = em30.lam / 1.21
-        shifted = replace(em30, lam=lam)
+        # the ball of radius 1.1: rows and cutoff scale together
+        lam, omega_max = em30.lam / 1.21, em30.omega_max / 1.1
+        shifted = replace(em30, lam=lam, omega_max=omega_max)
         fresh = ModeList(family=em30.family, l=em30.l, m=em30.m,
                          multiplicity=em30.multiplicity, lam=lam,
-                         radius=em30.radius, omega_max=em30.omega_max)
+                         radius=em30.radius, omega_max=omega_max)
         assert shifted.density == fresh.density != em30.density
 
     @pytest.mark.parametrize("omega_max", [15.0, 40.0, 90.0])
@@ -776,6 +777,61 @@ def check_solver(f, l, lo, hi, shrink):
 
 shrinks = st.none() | st.tuples(st.floats(0, 1, exclude_max=True),
                                 st.floats(0, 1, exclude_max=True))
+
+
+class TestCutoffCheck:
+    """A mode list's omega_max must agree with its rows."""
+
+    @pytest.fixture(scope="class")
+    def em40(self):
+        return em_modes(40.0)
+
+    def test_cutoff_below_a_row_rejected(self, em40):
+        with pytest.raises(ValueError, match="^omega_max 38 lies below 38 of "
+                           "the 374 rows, which reach 39.9961$"):
+            replace(em40, omega_max=38.0)
+
+    def test_cutoff_within_rounding_of_the_last_row_accepted(self, em40):
+        top = em40.omega[-1]
+        assert replace(em40, omega_max=top * (1 - 1e-13)).density[0] > 0
+        with pytest.raises(ValueError, match="lies below 1 of the 374 rows"):
+            replace(em40, omega_max=top * (1 - 1e-11))
+
+    def test_cutoff_beyond_the_end_rejected(self, em40):
+        modes = replace(em40, omega_max=44.0)
+        with pytest.raises(ValueError, match=r"^omega_max 44 lies beyond the "
+                           r"end of the mode list: its calibrated density "
+                           r"has c2 = -0\.0887 <= 0$"):
+            modes.density
+
+    @pytest.mark.parametrize("omega_max, radius", [
+        (15.0, 1.0), (61.0, 1.0), (200.0, 1.0), (40.0, 2.9), (150.0, 0.37)])
+    @pytest.mark.parametrize("enumerate_modes", [
+        em_modes, dirichlet_modes, neumann_modes,
+        partial(form_modes, 1), partial(form_modes, 2)],
+        ids=["em", "dirichlet", "neumann", "p1", "p2"])
+    def test_every_enumerated_list_accepted(self, enumerate_modes,
+                                            omega_max, radius):
+        modes = enumerate_modes(omega_max, radius)
+        assert modes.omega[-1] <= modes.omega_max
+        assert modes.density[0] > 0
+
+    @pytest.mark.parametrize("omega_max, detail", [
+        (38.0, "lies below 38 of the 374 rows"),
+        (44.0, "has c2 = -0.0887 <= 0"),
+    ])
+    def test_from_csv_names_the_sidecar(self, em40, tmp_path, omega_max,
+                                        detail):
+        path = tmp_path / "modes.csv"
+        em40.to_csv(path)
+        meta = tmp_path / "modes.csv.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()),
+                                    "omega_max": omega_max}))
+        with pytest.raises(ValueError) as err:
+            ModeList.from_csv(path)
+        assert str(err.value).startswith(
+            f"modes.csv.meta.json: omega_max {omega_max:g} ")
+        assert detail in str(err.value)
 
 
 class TestRootSolver:
