@@ -1,9 +1,9 @@
 """Curvature of parametric surfaces and quadrature over them.
 
-Builds the three stock surfaces, samples their curvature, and checks
-the classical integral identities: surface area, enclosed volume, and
-the total-curvature (Gauss-Bonnet) integral against the declared
-topology.
+Builds the three stock surfaces, evaluates their curvature at points,
+and checks the classical integral identities: surface area, enclosed
+volume, and the total-curvature (Gauss-Bonnet) integral against the
+declared topology.
 """
 
 import math
@@ -12,7 +12,6 @@ import numpy as np
 
 from cavityheat import (
     QuadratureSpec,
-    curvature_at,
     ellipsoid,
     enclosed_volume,
     sphere,
@@ -23,21 +22,29 @@ from cavityheat.geometry.curvature import curvature_grid
 
 quad = QuadratureSpec(order=24)
 
+
+def kappas(g):
+    """Principal curvatures tr L/2 +- sqrt((tr L/2)^2 - det L)."""
+    mean = g["trL"] / 2
+    disc = math.sqrt(max(mean * mean - g["detL"], 0.0))
+    return mean + disc, mean - disc
+
+
 print("== pointwise curvature ==")
 ball = sphere(1.0)
-c = curvature_at(ball.charts[0], 1.1, 0.7, laplacian=True)
-print(f"unit sphere: tr L = {c.trL:.12f}  det L = {c.detL:.12f}  "
-      f"kappas = ({c.kappa1:.6f}, {c.kappa2:.6f})")
-print(f"             |grad tr L| = {np.linalg.norm(c.grad_trL):.2e}  "
-      f"lap tr L = {c.lap_trL:.2e}   (all flat, as it should be)")
+c = curvature_grid(ball.charts[0], 1.1, 0.7, order=4)
+print(f"unit sphere: tr L = {c['trL']:.12f}  det L = {c['detL']:.12f}  "
+      "kappas = ({:.6f}, {:.6f})".format(*kappas(c)))
+print(f"             |grad tr L| = {math.sqrt(c['grad_trL_sq']):.2e}  "
+      f"lap tr L = {c['lap_trL']:.2e}   (all flat, as it should be)")
 
 ring = torus(2.0, 0.5)
-outer = curvature_at(ring.charts[0], 0.0, 1.0)
-inner = curvature_at(ring.charts[0], math.pi, 1.0)
-print(f"torus outer equator: kappas = ({outer.kappa1:.3f}, {outer.kappa2:.3f})"
-      f"   [1/tube, 1/(ring+tube)]")
-print(f"torus inner equator: kappas = ({inner.kappa1:.3f}, {inner.kappa2:.3f})"
-      f"   saddle: det L = {inner.detL:.3f}")
+outer = curvature_grid(ring.charts[0], 0.0, 1.0)
+inner = curvature_grid(ring.charts[0], math.pi, 1.0)
+print("torus outer equator: kappas = ({:.3f}, {:.3f})".format(*kappas(outer))
+      + "   [1/tube, 1/(ring+tube)]")
+print("torus inner equator: kappas = ({:.3f}, {:.3f})".format(*kappas(inner))
+      + f"   saddle: det L = {inner['detL']:.3f}")
 
 print("\n== integral identities ==")
 for model, vol in ((ball, 4 * math.pi / 3),

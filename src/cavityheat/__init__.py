@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _SUBMODULES = {
     "geometry": (
-        "CurvatureSample", "QuadratureSpec", "SurfaceChart", "SurfaceModel",
-        "TopologyInfo", "curvature_at", "ellipsoid", "enclosed_volume",
-        "sphere", "surface_integral", "torus", "trL_lap_trL_integral"),
+        "QuadratureSpec", "SurfaceChart", "SurfaceModel", "TopologyInfo",
+        "ellipsoid", "enclosed_volume", "sphere", "surface_integral", "torus",
+        "trL_lap_trL_integral"),
     "geometry.identities": (
         "IdentityResiduals", "curvature_identity_residuals"),
     "tables": ("consistency_report", "harmonic_form_dims"),
@@ -37,7 +37,7 @@ _SUBMODULES = {
     "casimir": (
         "DivergencePrediction", "RegulatorKind", "RemainderScan",
         "detection_z", "divergence_prediction", "min_usable_gamma",
-        "regularized_sum", "regulator_integral", "remainder_scan"),
+        "regularized_sum", "remainder_scan"),
     "surfacefile": ("load_surface", "loads_surface"),
     "errors": ("CutoffTooLowError", "SurfaceFileError"),
 }

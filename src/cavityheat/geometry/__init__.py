@@ -1,7 +1,7 @@
 """Surface geometry: charts, curvature, quadrature, tensor identities."""
 
 from .charts import ChartError, SingularChartError, SurfaceChart
-from .curvature import CurvatureSample, curvature_at, curvature_grid
+from .curvature import curvature_grid
 from .models import SurfaceModel, TopologyInfo, ellipsoid, sphere, torus
 from .quadrature import (
     EvaluationError,
@@ -17,8 +17,6 @@ __all__ = [
     "ChartError",
     "SingularChartError",
     "SurfaceChart",
-    "CurvatureSample",
-    "curvature_at",
     "curvature_grid",
     "SurfaceModel",
     "TopologyInfo",

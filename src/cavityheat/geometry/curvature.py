@@ -12,14 +12,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .charts import SingularChartError, SurfaceChart
 
-__all__ = ["CurvatureSample", "curvature_at", "curvature_grid"]
+__all__ = ["curvature_grid"]
 
 # |r_u x r_v| / (|r_u||r_v|) below this means the parametrisation is
 # effectively degenerate at the point.
@@ -58,7 +57,7 @@ def surface_jets(chart: SurfaceChart, u, v, order):
         w = jets.sqrt(_dot(cross, cross))
         sine = w.value / np.sqrt(E.value * G.value)
     sine = np.where(np.isfinite(sine), sine, 0.0)
-    if not np.min(sine) >= _SINGULAR_SINE:
+    if sine.size and not np.min(sine) >= _SINGULAR_SINE:
         at = np.unravel_index(int(np.argmin(sine)), np.shape(sine))
         ub, vb = (np.broadcast_to(x, np.shape(sine))[at] for x in (u, v))
         raise SingularChartError(chart.name, float(ub), float(vb),
@@ -101,33 +100,44 @@ def _retain_heap():
 
 
 def _blockwise(fields, u, v, block=_BLOCK):
-    """``fields(u, v)``, a dict of arrays, evaluated on blocks of rows of
-    the broadcast (u, v) grid and assembled.
+    """``fields(u, v)``, a dict of arrays, evaluated on blocks of the
+    broadcast (u, v) grid and assembled.
 
-    Only the arrays ``fields`` returns get a whole-grid output.  Blocks
-    hold up to ``block`` nodes, so one block's jets (about 7 MiB at
-    order 3, 13 MiB at order 4 with ``_BLOCK``) are alive at a time, and
-    their memory is reused from block to block (:func:`_retain_heap`).
-    Every field is elementwise in the points, so the result does not
-    depend on the blocking.
+    The first axis whose trailing rows fit in ``block`` nodes is cut
+    into blocks of rows, and each axis before it is taken one index at a
+    time, so any point shape, (40000,), (1, 40000) or (4, 100, 100),
+    runs in blocks of at most ``block`` nodes.  An input of size 1 along
+    an axis is passed whole along it (an open mesh keeps its row
+    blocks).  Only the arrays ``fields`` returns get a whole-grid
+    output; one block's jets (about 7 MiB at order 3, 13 MiB at order 4
+    with ``_BLOCK``) are alive at a time, and their memory is reused
+    from block to block (:func:`_retain_heap`).  Every field is
+    elementwise in the points, so the result does not depend on the
+    blocking.
     """
     _retain_heap()
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape)
     if math.prod(shape) <= block:
         return fields(u, v)
-    step = max(1, block // math.prod(shape[1:]))
-    tail = (slice(None),) * (len(shape) - 1)
+    axis = next(k for k in range(len(shape))
+                if math.prod(shape[k + 1:]) <= block)
+    step = block // math.prod(shape[axis + 1:])
+    tail = (slice(None),) * (len(shape) - axis - 1)
+    u, v = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v))
     out = {}
-    for lo in range(0, shape[0], step):
-        rows = (slice(lo, lo + step),)
-        part = fields(*(x[rows] if x.ndim == len(shape) and x.shape[0] > 1
-                        else x for x in (u, v)))
-        for name, val in part.items():
-            if name not in out:
-                out[name] = np.empty(val.shape[:val.ndim - len(shape)] + shape)
-            out[name][(Ellipsis,) + rows + tail] = val
-        del part, val           # free this block's jets before the next
+    for lead in np.ndindex(shape[:axis]):
+        for lo in range(0, shape[axis], step):
+            cut = tuple(slice(i, i + 1) for i in lead) + (slice(lo, lo + step),)
+            part = fields(*(x[tuple(c if n > 1 else slice(None)
+                                    for c, n in zip(cut, x.shape))]
+                            for x in (u, v)))
+            for name, val in part.items():
+                if name not in out:
+                    out[name] = np.empty(val.shape[:val.ndim - len(shape)]
+                                         + shape)
+                out[name][(Ellipsis,) + cut + tail] = val
+            del part, val       # free this block's jets before the next
     return out
 
 
@@ -173,65 +183,3 @@ def curvature_grid(chart: SurfaceChart, u, v, order=2, names=None):
 
     return _blockwise(fields, u, v)
 
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Curvature data at one surface point, in an orthonormal frame.
-
-    ``L`` is the second fundamental form with respect to the inward
-    normal; its eigenvalues are the principal curvatures
-    ``kappa1 >= kappa2``.  ``grad_trL`` holds the frame components of
-    the tangential gradient of tr L; ``lap_trL`` is filled on request.
-    """
-
-    point: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    normal: np.ndarray
-    L: np.ndarray
-    trL: float
-    detL: float
-    kappa1: float
-    kappa2: float
-    grad_trL: np.ndarray
-    lap_trL: float | None = None
-
-    def cayley_hamilton_residual(self):
-        """|| L^2 - (tr L) L + (det L) I ||_max, zero for any 2x2 matrix."""
-        res = self.L @ self.L - self.trL * self.L + self.detL * np.eye(2)
-        return float(np.max(np.abs(res)))
-
-
-def frame_matrix(E, F, G, w):
-    """Rows express the Gram-Schmidt frame (e1, e2) in the (r_u, r_v) basis."""
-    sE = np.sqrt(E)
-    return np.array([[1.0 / sE, 0.0], [-F / (sE * w), sE / w]])
-
-
-def curvature_at(chart: SurfaceChart, u, v, laplacian=False) -> CurvatureSample:
-    """Curvature sample at a single parameter point of a chart.
-
-    Raises ``SingularChartError`` when the immersion degenerates there.
-    """
-    u = float(u)
-    v = float(v)
-    g = curvature_grid(chart, u, v, order=4 if laplacian else 3)
-    E, F, G, w = g["E"], g["F"], g["G"], g["w"]
-    A = frame_matrix(E, F, G, w)
-    II = np.array([[g["e"], g["f"]], [g["f"], g["g2"]]])
-    L = A @ II @ A.T
-    L = 0.5 * (L + L.T)
-    trL = float(g["trL"])
-    detL = float(g["detL"])
-    mean = 0.5 * trL
-    disc = np.sqrt(max(mean * mean - detL, 0.0))
-    e1 = g["ru"] / np.sqrt(E)
-    e2 = (E * g["rv"] - F * g["ru"]) / (np.sqrt(E) * w)
-    grad = A @ np.array([g["Hu"], g["Hv"]])
-    lap = float(g["lap_trL"]) if laplacian else None
-    return CurvatureSample(
-        point=g["r"], e1=e1, e2=e2, normal=g["n"], L=L,
-        trL=trL, detL=detL,
-        kappa1=mean + disc, kappa2=mean - disc,
-        grad_trL=grad, lap_trL=lap,
-    )

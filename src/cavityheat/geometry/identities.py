@@ -195,21 +195,19 @@ def curvature_identity_residuals(chart: SurfaceChart,
     ``curvature_grid``; exact derivatives put them at rounding level.
     """
     def fields(u, v):
+        u, v = np.broadcast_arrays(u, v)        # _covariant_data stacks them
         d = _covariant_data(chart, u, v)
         left, right = _left_sides(d), _right_sides(d["L"], d["Lc"], d["Lcd"])
-        out = {name: np.abs(left[name] - right[name]).reshape(-1, *u.shape)
-               .max(0) for name in IDENTITY_NAMES}
+        out = {}
+        for name in IDENTITY_NAMES:
+            diff = np.abs(left[name] - right[name])
+            out[name] = diff.max(tuple(range(diff.ndim - u.ndim)))
         L = np.moveaxis(d["L"].astype(float), (0, 1), (-2, -1))
         kappa = np.abs(np.linalg.eigvalsh(L)).max(-1)
         out["error_model"] = _ROUNDING * (1.0 + kappa) ** 4
         return {name: np.asarray(x, dtype=float) for name, x in out.items()}
 
-    # blocks of points, not rows, whatever shape the points broadcast to
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                               np.asarray(v, dtype=float))
-    flat = (-1,) if u.ndim else ()
-    res = {name: x.reshape(u.shape) for name, x in _blockwise(
-        fields, u.reshape(flat), v.reshape(flat), _BLOCK).items()}
+    res = _blockwise(fields, u, v, _BLOCK)
     model = res.pop("error_model")
     return IdentityResiduals(residuals=res, error_model=model)
 
@@ -223,7 +221,8 @@ class IdentityResiduals:
 
     @property
     def max_residual(self):
-        return float(max(np.max(r) for r in self.residuals.values()))
+        return float(max(np.max(r, initial=0.0)
+                         for r in self.residuals.values()))
 
     def violations(self):
         """The worst residual of each identity that exceeds the

@@ -491,9 +491,11 @@ class ModeList:
         absorbs the surface correction empirically.  Falls back to the
         single leading term when the list is too small for a stable
         two-parameter fit; ValueError below 20 calibrating modes, as a
-        zero tail would pass every truncation bound, and for a fitted
-        c2 <= 0, the mark of an ``omega_max`` beyond the list's end.
-        Computed once.
+        zero tail would pass every truncation bound, and for an
+        ``omega_max`` beyond the list's end: one that gives a fitted
+        c2 <= 0, or lies further above the last row than the widest gap
+        between consecutive rows of the window, counted from its lower
+        end.  Computed once.
         """
         w_hi = self.omega_max
         w_lo = TAIL_CALIBRATION_WINDOW * w_hi
@@ -505,16 +507,24 @@ class ModeList:
                 f"({w_lo:g}, {w_hi:g}], fewer than the 20 a tail needs")
         if self.count - n_lo < 500:
             vol = (w_hi ** 3 - w_lo ** 3) / 3.0
-            return (self.count - n_lo) / vol, 0.0
-        edges = np.linspace(w_lo, w_hi, 40)[1:]
-        counts = (self.n_below(edges) - n_lo).astype(float)
-        design = np.column_stack([(edges ** 3 - w_lo ** 3) / 3.0,
-                                  (edges ** 2 - w_lo ** 2) / 2.0])
-        (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
-        if not c2 > 0:
+            c2, c1 = (self.count - n_lo) / vol, 0.0
+        else:
+            edges = np.linspace(w_lo, w_hi, 40)[1:]
+            counts = (self.n_below(edges) - n_lo).astype(float)
+            design = np.column_stack([(edges ** 3 - w_lo ** 3) / 3.0,
+                                      (edges ** 2 - w_lo ** 2) / 2.0])
+            (c2, c1), *_ = np.linalg.lstsq(design, counts, rcond=None)
+            if not c2 > 0:
+                raise _SidecarError(
+                    f"omega_max {w_hi:g} lies beyond the end of the mode "
+                    f"list: its calibrated density has c2 = {c2:.3g} <= 0")
+        omega = self.omega[self.omega > w_lo]
+        widest = np.diff(omega, prepend=w_lo).max()
+        if w_hi - omega[-1] > widest:
             raise _SidecarError(
-                f"omega_max {w_hi:g} lies beyond the end of the mode list: "
-                f"its calibrated density has c2 = {c2:.3g} <= 0")
+                f"omega_max {w_hi:g} lies {w_hi - omega[-1]:.3g} above the "
+                f"last row, more than the widest row gap {widest:.3g} in the "
+                f"calibration window ({w_lo:g}, {w_hi:g}]")
         return float(c2), float(c1)
 
     @cached_property

@@ -324,7 +324,9 @@ class TestUsageErrors:
         (38.0, "lies below 38 of the 374 rows, which reach 39.9961"),
         (44.0, "lies beyond the end of the mode list: its calibrated "
                "density has c2 = -0.0887 <= 0"),
-    ], ids=["below-the-rows", "beyond-the-end"])
+        (40.4, "lies 0.404 above the last row, more than the widest row "
+               "gap 0.34 in the calibration window (20.2, 40.4]"),
+    ], ids=["below-the-rows", "beyond-the-end", "beyond-the-last-gap"])
     @pytest.mark.parametrize("command", ["trace", "casimir"])
     def test_cutoff_that_disagrees_with_the_rows_exits_1(
             self, tmp_path, capsys, command, omega_max, detail):
@@ -566,11 +568,10 @@ class TestPipeline:
         before = inputs(0)
         meta = tmp_path / "modes_em.csv.meta.json"
         meta.write_text(meta.read_text().replace('"omega_max": 40.0',
-                                                 '"omega_max": 40.4'))
-        # the edited tails leave out the modes in (40, 40.4], which the
-        # scan reads as a half-power at z -2.005: exit 2, after
-        # casimir.json is written
-        after = inputs(2)
+                                                 '"omega_max": 40.2'))
+        # 40.2 lies within the widest row gap (0.34) above the last row,
+        # 39.9961, so the list still loads and only the sidecar changed
+        after = inputs(0)
         for old, new in zip(before, after):
             changed = {k for k in old.keys() | new.keys()
                        if old.get(k) != new.get(k)}

@@ -237,6 +237,15 @@ class TestBatches:
         assert peak < 8 << 20, peak
 
 
+    def test_zero_points_give_empty_residuals(self):
+        chart = torus(2.0, 0.5).charts[0]
+        r = curvature_identity_residuals(chart, np.array([]), np.array([]))
+        assert r.error_model.shape == (0,)
+        for name in IDENTITY_NAMES:
+            assert r[name].shape == (0,)
+        assert r.violations() == {} and r.max_residual == 0.0
+
+
 class TestSymbolicReductions:
     """Exact reductions at a constant-curvature point (sphere, plane).
 

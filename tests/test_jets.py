@@ -1,5 +1,7 @@
 """Truncated Taylor arithmetic against symbolic differentiation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -105,6 +107,32 @@ def test_named_fields_equal_the_full_grid(monkeypatch, order, names):
     assert tuple(named) == names
     for name in names:
         assert np.array_equal(named[name], full[name]), name
+
+
+@pytest.mark.parametrize("shape", [(1, 40000), (4, 100, 100)])
+def test_any_point_shape_runs_in_blocks(shape):
+    # a block cuts the first axis whose rows fit and steps the axes
+    # before it, so wide rows get the same memory bound as a flat list
+    chart = torus(2.0, 0.5).charts[0]
+    u, v = np.random.default_rng(6).uniform(0.0, 2 * np.pi, (2, 40000))
+    flat = curvature.curvature_grid(chart, u, v, order=3, names=("w",))
+    tracemalloc.start()
+    try:
+        shaped = curvature.curvature_grid(chart, u.reshape(shape),
+                                          v.reshape(shape), order=3,
+                                          names=("w",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(shaped["w"], flat["w"].reshape(shape))
+    assert peak < 10 << 20, peak
+
+
+def test_zero_points_give_empty_fields():
+    chart = torus(2.0, 0.5).charts[0]
+    g = curvature.curvature_grid(chart, np.array([]), np.array([]), order=4)
+    assert g["r"].shape == (3, 0)
+    assert g["trL"].shape == g["lap_trL"].shape == (0,)
 
 
 def test_unknown_field_name_raises():
