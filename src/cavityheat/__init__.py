@@ -37,7 +37,7 @@ _SUBMODULES = {
     "casimir": (
         "DivergencePrediction", "RegulatorKind", "RemainderScan",
         "detection_z", "divergence_prediction", "min_usable_gamma",
-        "regularized_sum", "remainder_scan"),
+        "regularized_sum", "regulator_integral", "remainder_scan"),
     "surfacefile": ("load_surface", "loads_surface"),
     "errors": ("CutoffTooLowError", "SurfaceFileError"),
 }

@@ -26,6 +26,13 @@ its tail are the "heat" and "sqrt" sums of spectrum.sum_parts, which
 keeps them on the mode list, so a clean scan and its planted-defect
 scan on one grid cost one set of sums.  A point is usable while its
 tail is at most REGULATED_RTOL = 0.5 times the raw sum.
+
+Related quantities: the single regulator integrals
+int_0^1 t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
+asymptotes, which no verdict or artifact reads.  The large-k
+expansion of the mode generating function Phi(k) and the
+finite-frequency mode count 2*a3_local - genus need no spectrum; they
+are coefficients.phi_expansion and coefficients.DeltaA3.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ __all__ = [
     "RegulatorKind",
     "regularized_sum",
     "min_usable_gamma",
+    "regulator_integral",
     "DivergencePrediction",
     "divergence_prediction",
     "RemainderScan",
@@ -94,6 +102,54 @@ def regularized_sum(modes: ModeList, gamma,
 def min_usable_gamma(modes: ModeList, kind: RegulatorKind):
     """Smallest gamma at which regularized_sum accepts the point."""
     return smallest_usable(modes, kind.value, REGULATED_RTOL, 1e-10, 10.0)
+
+
+@dataclass(frozen=True)
+class RegulatorIntegral:
+    n: int
+    gamma: float
+    numeric: float
+    asymptote: float
+
+
+def regulator_integral(n, gamma) -> RegulatorIntegral:
+    """int_0^1 t^-1/2 (t + gamma)^((n-5)/2) dt and its leading form.
+
+    With t = s^2 the integral is 2 int_0^1 (s^2 + g)^((n-5)/2) ds,
+    elementary for every n.  The antiderivatives in s:
+
+        n = 0:  s (2 s^2 + 3 g) / (3 g^2 (s^2 + g)^(3/2))
+        n = 1:  s / (2 g (s^2 + g)) + atan(s / sqrt(g)) / (2 g^(3/2))
+        n = 2:  s / (g sqrt(s^2 + g))
+        n = 3:  atan(s / sqrt(g)) / sqrt(g)
+        n = 4:  asinh(s / sqrt(g))
+
+    All vanish at s = 0 and every term is positive, so each value is
+    good to a few ulp.  Leading asymptotes as gamma -> 0: (4/3) g^-2,
+    (pi/2) g^-3/2, 2 g^-1, pi g^-1/2, -log g for n = 0..4, each modulo
+    O(1) set by the (arbitrary, fixed) upper limit 1.
+    """
+    if not 0 < gamma < 1:
+        raise ValueError("need 0 < gamma << 1")
+    if n not in range(5):
+        raise ValueError("n must be 0..4")
+    # the antiderivatives at s = 1
+    r, h = math.sqrt(gamma), 1.0 + gamma
+    val = 2.0 * (
+        (2.0 + 3 * gamma) / (3 * gamma**2 * h**1.5),
+        1.0 / (2 * gamma * h) + math.atan(1.0 / r) / (2 * gamma**1.5),
+        1.0 / (gamma * math.sqrt(h)),
+        math.atan(1.0 / r) / r,
+        math.asinh(1.0 / r),
+    )[n]
+    asym = {
+        0: (4.0 / 3.0) * gamma ** -2,
+        1: (math.pi / 2.0) * gamma ** -1.5,
+        2: 2.0 / gamma,
+        3: math.pi * gamma ** -0.5,
+        4: -math.log(gamma),
+    }[n]
+    return RegulatorIntegral(n=n, gamma=gamma, numeric=val, asymptote=asym)
 
 
 @dataclass(frozen=True)

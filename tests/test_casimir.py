@@ -19,6 +19,7 @@ from cavityheat.casimir import (
     divergence_prediction,
     min_usable_gamma,
     regularized_sum,
+    regulator_integral,
     remainder_scan,
 )
 from cavityheat.coefficients import compute_moments, em_coefficients
@@ -210,6 +211,55 @@ class TestRegulatedMemo:
         modes.to_csv(tmp_path / "modes.csv")
         for copy in (replace(modes), ModeList.from_csv(tmp_path / "modes.csv")):
             assert copy._sums == {}
+
+
+class TestRegulatorIntegral:
+    # exact O(1) offsets at delta = 1: numeric - asymptote tends to
+    # -1/2, -2/3, -1, -2, log 4 for n = 0..4
+    OFFSET = {0: -0.5, 1: -2.0 / 3.0, 2: -1.0, 3: -2.0, 4: math.log(4.0)}
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_asymptote_to_order_one(self, n):
+        ri = regulator_integral(n, 1e-6)
+        diff = ri.numeric - ri.asymptote
+        assert diff == pytest.approx(self.OFFSET[n], abs=0.02)
+
+    @staticmethod
+    def reference(n, gamma, delta):
+        """2 int_0^sqrt(delta) (s^2 + gamma)^((n-5)/2) ds to 30 digits."""
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            power = mpmath.mpf(n - 5) / 2
+            return float(2 * mpmath.quad(lambda s: (s * s + g) ** power,
+                                         [0, mpmath.sqrt(g),
+                                          mpmath.sqrt(delta)]))
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 2e-3,
+                                       0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_30_digit_reference(self, n, gamma, delta):
+        # t -> delta t: the integral to delta is
+        # delta^((n-4)/2) times the integral to 1 at gamma / delta
+        ref = self.reference(n, gamma, delta)
+        got = delta ** ((n - 4) / 2) * regulator_integral(
+            n, gamma / delta).numeric
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_asymptote_forms(self):
+        g = 1e-4
+        assert regulator_integral(0, g).asymptote == pytest.approx(
+            (4 / 3) * g**-2)
+        assert regulator_integral(3, g).asymptote == pytest.approx(
+            math.pi * g**-0.5)
+        assert regulator_integral(4, g).asymptote == pytest.approx(
+            -math.log(g))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            regulator_integral(5, 1e-6)
+        with pytest.raises(ValueError):
+            regulator_integral(2, 2.0)
 
 
 def regulated_integral(kind, density, gamma):
