@@ -2,11 +2,11 @@
 
 (t, K, bound) samples of K(t) are fit against the half-integer power
 basis t^(-3/2) .. t^1 with per-sample uncertainty bound + scale * t^(3/2)
-+ 1e-14 * max(|K|, 1).  "bounds" weighting fits once with scale 0; the
-default "model" weighting refits with scale = |a_last| of that first
-pass (the last-included-term heuristic).  Known coefficients can be
-pinned and are subtracted before solving.  Standard errors come from
-the weighted normal equations, inflated by sqrt(chi2/dof) when the
++ 1e-14 * max(|K|, 1).  A first pass with scale 0 sizes the last basis
+coefficient a_last, and the reported fit refits with scale = |a_last|
+(the last-included-term heuristic).  Known coefficients can be pinned
+and are subtracted before solving.  Standard errors come from the
+weighted normal equations, inflated by sqrt(chi2/dof) when the
 residuals exceed the declared uncertainties.
 """
 
@@ -41,14 +41,13 @@ def _require_samples(n, free):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Grid, basis and weighting choices for a coefficient fit."""
+    """Grid and basis choices for a coefficient fit."""
 
     t_lo: float
     t_hi: float
     n_points: int = 40
     exponents: tuple = HALF_POWERS
     pinned: dict = field(default_factory=dict)
-    weight_mode: str = "model"      # "model" | "bounds"
 
     def __post_init__(self):
         bad = set(self.exponents) - set(HALF_POWERS)
@@ -57,8 +56,6 @@ class FitConfig:
         _require_samples(self.n_points, self.free)
         if not 0 < self.t_lo < self.t_hi:
             raise ValueError("need 0 < t_lo < t_hi")
-        if self.weight_mode not in ("model", "bounds"):
-            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
     @property
     def free(self):
@@ -161,17 +158,12 @@ def fit_coefficients(samples, config: FitConfig) -> FitResult:
         target = target - value * t ** e
     design = np.column_stack([t ** e for e in free])
     floor = 1e-14 * np.maximum(np.abs(K), 1.0)
-
-    def solve(scale):
-        return weighted_power_fit(design, target,
-                                  bounds + scale * t ** 1.5 + floor)
-
-    coef, stderr, cond, chi2_dof, resid = solve(0.0)
-    if config.weight_mode == "model":
-        # the first pass estimates the last-basis coefficient that sizes
-        # the next-order contamination term of the second
-        coef, stderr, cond, chi2_dof, resid = solve(
-            abs(coef[free.index(max(free))]))
+    # the first pass estimates the last-basis coefficient that sizes the
+    # next-order contamination term of the second
+    first = weighted_power_fit(design, target, bounds + floor)[0]
+    scale = abs(first[free.index(max(free))])
+    coef, stderr, cond, chi2_dof, resid = weighted_power_fit(
+        design, target, bounds + scale * t ** 1.5 + floor)
 
     return FitResult(
         coefficients={e: (float(c), float(s))

@@ -25,7 +25,9 @@ deliberately omitted prediction term is loudly detected.  S(gamma) and
 its tail are the "heat" and "sqrt" sums of spectrum.sum_parts, which
 keeps them on the mode list, so a clean scan and its planted-defect
 scan on one grid cost one set of sums.  A point is usable while its
-tail is at most REGULATED_RTOL = 0.5 times the raw sum.
+tail is at most REGULATED_RTOL = 0.5 times the raw sum, and a scan
+reads "finite" while the g^-1/2 component lies within FINITE_Z = 2
+standard errors of zero.
 
 Related quantities: the single regulator integrals
 int_0^1 t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
@@ -76,6 +78,8 @@ class RegulatorKind(enum.Enum):
 
 # largest tail-to-raw ratio at which a regulated sum is usable
 REGULATED_RTOL = 0.5
+# largest significance of the gamma^-1/2 component read as "finite"
+FINITE_Z = 2.0
 
 
 def regularized_sum(modes: ModeList, gamma,
@@ -238,7 +242,7 @@ class RemainderScan:
 
     ``half_power`` is the gamma^-1/2 component (value, stderr); the sum
     is finite in the gamma -> 0 limit iff that component vanishes, so
-    ``finite`` records |value| <= z_threshold * stderr.
+    ``finite`` records |value| <= FINITE_Z * stderr.
     """
 
     kind: RegulatorKind
@@ -250,7 +254,6 @@ class RemainderScan:
     excluded: tuple             # gammas beyond the usable range
     components: dict            # basis name -> (value, stderr)
     chi2_dof: float
-    z_threshold: float
 
     @property
     def half_power(self):
@@ -273,7 +276,7 @@ class RemainderScan:
 
     @property
     def finite(self):
-        return self.z_half <= self.z_threshold
+        return self.z_half <= FINITE_Z
 
     @property
     def constant(self):
@@ -293,12 +296,13 @@ class RemainderScan:
             "chi2_dof": self.chi2_dof,
             "z_half_power": self.z_half,
             "detectable_half_power": self.detectable_half_power,
+            "z_threshold": FINITE_Z,
             "finite": self.finite,
         }
 
 
 def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
-                   gammas, z_threshold=1.0) -> RemainderScan:
+                   gammas) -> RemainderScan:
     """Check the divergence prediction against regulated sums.
 
     Points whose truncation tail exceeds REGULATED_RTOL times the raw
@@ -341,7 +345,7 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
     return RemainderScan(
         kind=prediction.kind, gammas=kept, values=vals, sigmas=sigs,
         prediction=pred, remainder=rem, excluded=tuple(excluded),
-        components=components, chi2_dof=chi2_dof, z_threshold=z_threshold,
+        components=components, chi2_dof=chi2_dof,
     )
 
 

@@ -31,6 +31,8 @@ import numpy as np
 from . import __version__, errors
 
 SCHEMA_VERSION = 1
+# points of the geometric t grid of 'trace' and gamma grid of 'casimir'
+GRID_POINTS = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,7 +251,7 @@ def _cmd_trace(args, parser):
 
     t0 = time.time()
     modes = ModeList.from_csv(args.modes)
-    ts = np.geomspace(args.t_lo, args.t_hi, args.t_points)
+    ts = np.geomspace(args.t_lo, args.t_hi, GRID_POINTS)
     t, K, bound = heat_trace_samples(modes, ts)
     _write_csv(_out_dir(args) / "trace.csv", "t,K,bound", t, K, bound)
     _write_json(_out_dir(args) / "trace.manifest.json",
@@ -304,8 +306,6 @@ def _cmd_fit(args, parser):
                "a_n": {f"a{n}": result.a(n) for n in range(6)},
                "manifest": _manifest(args, [args.trace], t0)}
     _write_json(_out_dir(args) / "fit.json", payload)
-    model = sum(result.value(e) * t ** e for e in config.exponents)
-    _write_csv(_out_dir(args) / "fit_curve.csv", "t,K,model", t, K, model)
     if result.condition_number > CONDITION_REPORT:
         print(f"note: condition number {result.condition_number:.3g}",
               file=sys.stderr)
@@ -346,18 +346,15 @@ def _cmd_casimir(args, parser):
     a = _em_values(args.coeffs)
     kind = RegulatorKind(args.regulator)
     pred = divergence_prediction(a, kind)
-    gammas = np.geomspace(args.gamma_lo, args.gamma_hi, args.gamma_points)
-    scan = remainder_scan(modes, pred, gammas, z_threshold=args.z_threshold)
+    gammas = np.geomspace(args.gamma_lo, args.gamma_hi, GRID_POINTS)
+    scan = remainder_scan(modes, pred, gammas)
 
     inputs = [args.modes, sidecar_path(args.modes), args.coeffs]
-    out = _out_dir(args)
-    _write_csv(out / "scan.csv", "gamma,S,prediction,remainder",
-               scan.gammas, scan.values, scan.prediction, scan.remainder)
     payload = {"schema_version": SCHEMA_VERSION,
                "prediction": pred.as_dict(),
                "scan": scan.as_dict(),
                "manifest": _manifest(args, inputs, t0)}
-    _write_json(out / "casimir.json", payload)
+    _write_json(_out_dir(args) / "casimir.json", payload)
     if not scan.finite:
         raise ToleranceFailure(
             "half-power component incompatible with a finite limit",
@@ -455,7 +452,6 @@ def build_parser():
     p.add_argument("--modes", required=True)
     p.add_argument("--t-lo", type=positive_float, default=0.006)
     p.add_argument("--t-hi", type=positive_float, default=0.06)
-    p.add_argument("--t-points", type=positive_int, default=40)
     add_out(p)
     p.set_defaults(func=_cmd_trace)
 
@@ -471,9 +467,6 @@ def build_parser():
     p.add_argument("--regulator", choices=("heat", "sqrt"), default="heat")
     p.add_argument("--gamma-lo", type=positive_float, default=1e-3)
     p.add_argument("--gamma-hi", type=positive_float, default=5e-2)
-    p.add_argument("--gamma-points", type=positive_int, default=40)
-    p.add_argument("--z-threshold", type=positive_float, default=2.0,
-                   help="half-power significance treated as a violation")
     add_out(p)
     p.set_defaults(func=_cmd_casimir)
 

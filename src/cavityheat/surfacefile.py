@@ -34,25 +34,31 @@ boundary patch):
 
 ``normal`` declares which way the raw cross product r_u x r_v points
 ("outward" flips it so the stored normal is inward).  Parse errors
-report 1-based line and column.  Parameters, domain bounds and every
-constant sub-expression are evaluated to floats as they are read, so a
-division by zero, an overflow, a math-domain error, a non-finite value
-or a bool literal in them is a parse error at its position.
+report 1-based line and column.  A parameter name that is not an
+identifier, is a Python keyword, is u, v, pi or a function of the
+grammar, or was declared before is a parse error at the name.
+Parameters, domain bounds and every constant sub-expression are
+evaluated to floats as they are read, so a division by zero, an
+overflow, a math-domain error, a non-finite value or a bool literal in
+them is a parse error at its position.
 """
 
 from __future__ import annotations
 
+import keyword
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ExpressionError, SurfaceFileError
 from .geometry import SurfaceChart, SurfaceModel, TopologyInfo
-from .geometry.charts import compile_expression
+from .geometry.charts import _FUNCTIONS, compile_expression
 
 __all__ = ["SurfaceFileError", "load_surface", "loads_surface"]
 
 SCHEMA_VERSION = 1
+# names an expression already gives a meaning: no parameter may take one
+_RESERVED = {"u", "v", "pi", *_FUNCTIONS}
 
 
 def _parse_expression(text, names, line, col0, variables=()):
@@ -134,9 +140,13 @@ def loads_surface(text, name="surface") -> SurfaceModel:
             if len(parts) != 3:
                 raise SurfaceFileError("expected: param <name> <expression>",
                                        lineno, col0)
+            pname = parts[1]
+            pcol = line.find(pname, indent + len(key))
+            _check_param_name(pname, params, lineno, pcol + 1)
             names = {"pi": math.pi, **params}
-            params[parts[1]] = _parse_expression(
-                parts[2], names, lineno, line.find(parts[2]) + 1)
+            params[pname] = _parse_expression(
+                parts[2], names, lineno,
+                line.find(parts[2], pcol + len(pname)) + 1)
         elif key == "chart":
             block = _ChartBlock(line=lineno)
             if len(parts) == 2:
@@ -179,6 +189,18 @@ def loads_surface(text, name="surface") -> SurfaceModel:
         chart_components=tuple(comp_idx),
         topology=topology,
     )
+
+
+def _check_param_name(name, params, lineno, col):
+    if not name.isidentifier():
+        problem = "is not an identifier"
+    elif keyword.iskeyword(name) or name in _RESERVED:
+        problem = "is reserved"
+    elif name in params:
+        problem = "is already declared"
+    else:
+        return
+    raise SurfaceFileError(f"parameter name {name!r} {problem}", lineno, col)
 
 
 def _int_field(parts, line, lineno, what):

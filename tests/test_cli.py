@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import cavityheat.cli as cli
-from cavityheat.casimir import RegulatorKind, min_usable_gamma
+from cavityheat.casimir import (
+    FINITE_Z,
+    RegulatorKind,
+    divergence_prediction,
+    min_usable_gamma,
+    remainder_scan,
+)
 from cavityheat.cli import main
 from cavityheat.errors import (
     BracketError,
@@ -362,7 +368,7 @@ def small_run(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, names", [
     (("trace", "--modes", "{modes}", "--t-lo", "nan"), "--t-lo"),
-    (("trace", "--modes", "{modes}", "--t-points", "0"), "--t-points"),
+    (("trace", "--modes", "{modes}", "--t-points", "40"), "--t-points"),
     (("trace", "--modes", "{modes}", "--t-lo", "0.02", "--t-hi", "0.02"),
      "--t-lo 0.02 must be below --t-hi 0.02"),
     (("trace", "--modes", "{modes}", "--t-lo", "0.09", "--t-hi", "0.015"),
@@ -370,7 +376,9 @@ def small_run(tmp_path_factory):
     (("verify", "--points", "-1"), "--points"),
     (("verify", "--seed", "-1"), "--seed"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
-      "--z-threshold", "nan"), "--z-threshold"),
+      "--z-threshold", "2"), "--z-threshold"),
+    (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
+      "--gamma-points", "40"), "--gamma-points"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
       "--gamma-hi", "nan"), "--gamma-hi"),
     (("casimir", "--modes", "{modes}", "--coeffs", "{coeffs}",
@@ -389,10 +397,11 @@ def small_run(tmp_path_factory):
      "header 3"),
     (("fit", "--trace", "{long}"), "long.csv: data row 2 has 4 fields, the "
      "header 3"),
-], ids=["trace-t-lo-nan", "trace-t-points-0", "trace-t-lo-equals-hi",
+], ids=["trace-t-lo-nan", "trace-removed-t-points", "trace-t-lo-equals-hi",
         "trace-t-lo-above-hi",
         "verify-points-negative", "verify-seed-negative",
-        "casimir-z-threshold-nan", "casimir-gamma-hi-nan",
+        "casimir-removed-z-threshold", "casimir-removed-gamma-points",
+        "casimir-gamma-hi-nan",
         "casimir-gamma-lo-zero",
         "modes-radius-negative",
         "modes-omega-max-nan", "coeffs-removed-radius",
@@ -440,7 +449,7 @@ class TestPipeline:
         assert (tmp_path / "modes_em.csv.meta.json").exists()
 
         assert run(tmp_path, "trace", "--modes", modes_csv,
-                   "--t-lo", 0.015, "--t-hi", 0.09, "--t-points", 40) == 0
+                   "--t-lo", 0.015, "--t-hi", 0.09) == 0
         assert run(tmp_path, "fit", "--trace", tmp_path / "trace.csv") == 0
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["a_n"]["a3"] == pytest.approx(0.625, abs=0.02)
@@ -486,10 +495,32 @@ class TestPipeline:
         assert code == 0
         doc = json.loads((tmp_path / "casimir.json").read_text())
         assert doc["scan"]["finite"] is True
+        assert doc["scan"]["z_threshold"] == FINITE_Z == 2.0
         assert doc["scan"]["detectable_half_power"] == \
             5.0 * doc["scan"]["components"]["gamma^-1/2"][1]
         assert doc["prediction"]["gamma^-1/2"] == 0.0
-        assert (tmp_path / "scan.csv").exists()
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("omega_max, regulator",
+                             [(65, "heat"), (65, "sqrt"), (85, "sqrt")])
+    def test_casimir_finite_matches_the_library(self, tmp_path, omega_max,
+                                                regulator):
+        # enumerated lists whose half-power z lies between 1 and 2 on the
+        # CLI's grid: the CLI and remainder_scan give them one verdict
+        assert run(tmp_path, "modes", "--omega-max", omega_max) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere") == 0
+        modes_csv, coeffs = tmp_path / "modes_em.csv", tmp_path / "coeffs.json"
+        assert run(tmp_path, "casimir", "--modes", modes_csv,
+                   "--coeffs", coeffs, "--regulator", regulator) == 0
+        doc = json.loads((tmp_path / "casimir.json").read_text())["scan"]
+        pred = divergence_prediction(
+            json.loads(coeffs.read_text())["em"]["values"],
+            RegulatorKind(regulator))
+        scan = remainder_scan(ModeList.from_csv(modes_csv), pred,
+                              np.geomspace(1e-3, 5e-2, 40))
+        assert (doc["finite"], doc["z_half_power"]) == (scan.finite,
+                                                        scan.z_half)
+        assert doc["finite"] is True
 
     def test_pipeline_determinism_modulo_timestamp(self, tmp_path,
                                                    monkeypatch):
@@ -523,9 +554,8 @@ class TestPipeline:
                                   rb'"\1": null', path.read_bytes())
                 for path in sorted(Path().rglob("*")) if path.is_file()})
         assert runs[0] == runs[1]
-        assert {"heat/casimir.json", "sqrt/casimir.json", "sqrt/scan.csv",
-                "fit.json", "trace.csv", "modes_em.csv",
-                "coeffs.json"} <= set(runs[0])
+        assert {"heat/casimir.json", "sqrt/casimir.json", "fit.json",
+                "trace.csv", "modes_em.csv", "coeffs.json"} <= set(runs[0])
 
     def test_input_digest_ignores_the_input_manifest_clock(self, tmp_path):
         # a rerun coeffs.json differs only in its manifest's clock fields,

@@ -168,6 +168,8 @@ VALUE_ERRORS = {
     "overflow": (with_line("param a 2^2^2^2^2"), "overflows", 4, 9),
     "non-finite": (with_line("param a 1e308*10"), "non-finite", 4, 9),
     "bool": (with_line("param a True"), "unsupported literal True", 4, 9),
+    # the name 'a' also occurs inside the keyword 'param'
+    "unknown-name": (with_line("param b a"), "unknown name 'a'", 4, 9),
     "domain-bound": (with_line("", "  domain u -1/0 pi"), "division by zero",
                      8, 12),
     "variable-by-zero": (with_line("", "  x u/0"), "division by zero", 8, 5),
@@ -208,6 +210,27 @@ class TestParseTimeValues:
         assert err.value.line == 3
         with pytest.raises(SurfaceFileError, match="component"):
             loads_surface(with_line("").replace("chart\n", "chart 2\n"))
+
+
+@pytest.mark.parametrize("line, problem, lineno, column", [
+    ("param pi 3", "'pi' is reserved", 4, 7),
+    ("param u 5", "'u' is reserved", 4, 7),
+    ("param v 5", "'v' is reserved", 4, 7),
+    ("param sin 2", "'sin' is reserved", 4, 7),
+    ("param   sqrt 2", "'sqrt' is reserved", 4, 9),
+    ("param if 1", "'if' is reserved", 4, 7),
+    ("param True 1", "'True' is reserved", 4, 7),
+    ("param 2x 1", "'2x' is not an identifier", 4, 7),
+    ("param a-b 1", "'a-b' is not an identifier", 4, 7),
+    ("param a 1\nparam a 2", "'a' is already declared", 5, 7),
+], ids=["pi", "u", "v", "function", "function-spaced", "keyword",
+        "bool-literal", "leading-digit", "operator", "repeated"])
+def test_parameter_names_are_free_identifiers(line, problem, lineno,
+                                              column):
+    with pytest.raises(SurfaceFileError,
+                       match=f"parameter name {problem}") as err:
+        loads_surface(with_line(line))
+    assert (err.value.line, err.value.column) == (lineno, column)
 
 
 EXPRESSION_TOKENS = ("u", "v", "pi", "a", "0", "1", "2.5", "1e308", "True",
