@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import IllPosedFitError, weighted_power_fit
+from .errors import NumericalError
 from .spectrum import (
     CutoffTooLowError,
     ModeList,
@@ -312,7 +313,10 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
     the minimum usable gamma when exclusions caused the shortfall, and
     ValueError when the grid itself is too short.  Quoted component errors
     inflate with sqrt(chi2/dof), so unmodelled smooth remainder terms
-    widen the error bars instead of faking significance.
+    widen the error bars instead of faking significance.  A prediction
+    or remainder that is not finite, as from coefficients near the
+    float range, raises NumericalError at its first gamma, and so does
+    a fitted component or error bar that is not finite.
     """
     kept, excluded, vals, sigs = [], [], [], []
     for g in np.sort(np.asarray(gammas, dtype=float)):
@@ -335,13 +339,24 @@ def remainder_scan(modes: ModeList, prediction: DivergencePrediction,
     kept = np.array(kept)
     vals = np.array(vals)
     sigs = np.array(sigs)
-    pred = prediction.evaluate(kept)
-    rem = vals - pred
-    sigs = _next_order_sigma(kept, rem, sigs)
-    coef, err, cond, chi2_dof, _ = weighted_power_fit(
-        _scan_design(kept), rem, sigs)
+    # coefficients near the float range overflow here: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = prediction.evaluate(kept)
+        rem = vals - pred
+        for what, arr in (("prediction", pred), ("remainder", rem)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise NumericalError(f"non-finite {what} {arr[bad[0]]:g} "
+                                     f"at gamma={kept[bad[0]]:g}")
+        sigs = _next_order_sigma(kept, rem, sigs)
+        coef, err, cond, chi2_dof, _ = weighted_power_fit(
+            _scan_design(kept), rem, sigs)
     components = {name: (float(c), float(e))
                   for name, c, e in zip(SCAN_BASIS, coef, err)}
+    for name, (c, e) in components.items():
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise NumericalError(f"non-finite remainder fit: {name} "
+                                 f"component {c:g} +- {e:g}")
     return RemainderScan(
         kind=prediction.kind, gammas=kept, values=vals, sigmas=sigs,
         prediction=pred, remainder=rem, excluded=tuple(excluded),

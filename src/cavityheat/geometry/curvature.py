@@ -3,8 +3,9 @@
 Each evaluation takes the chart's embedding as a truncated Taylor series
 (:mod:`.jets`) and carries the fundamental forms, the inward unit normal
 and the shape operator through jet arithmetic, so every quantity is
-exact up to rounding: an order-2 jet gives the curvatures, order 3 the
-tangential gradient of tr L, and order 4 its Laplace-Beltrami.
+exact up to rounding: an order-1 jet gives the position, normal and
+metric, order 2 the curvatures, order 3 the tangential gradient of
+tr L, and order 4 its Laplace-Beltrami.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ _BLOCK = 1 << 13
 # come from the heap, and a free heap top up to the second stays there
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
+# the fields of curvature_grid at each order, in the order it returns
+# them; the first eight need only first derivatives of the embedding
+_FIELDS = {2: ("r", "ru", "rv", "n", "w", "E", "F", "G",
+               "e", "f", "g2", "trL", "detL")}
+_FIELDS[3] = _FIELDS[2] + ("Hu", "Hv", "grad_trL_sq")
+_FIELDS[4] = _FIELDS[3] + ("lap_trL",)
+_FIRST_ORDER = frozenset(_FIELDS[2][:8])
 
 
 def _dot(a, b):
@@ -40,16 +48,18 @@ def _cross(a, b):
 
 
 def surface_jets(chart: SurfaceChart, u, v, order):
-    """Jets of order ``order - 2`` of the local surface fields.
+    """Jets of the local surface fields from one order-``order`` jet of
+    the embedding at the points (u, v).
 
-    From one order-``order`` jet of the embedding at the points (u, v):
-    position ``r`` (full order), tangents ``ru, rv``, inward unit normal
-    ``n``, area element ``w``, metric ``E, F, G``, second fundamental
-    form ``e, f, g2`` and ``trL, detL``.  Raises ``SingularChartError``
-    where the immersion degenerates.
+    Position ``r`` keeps the full order; tangents ``ru, rv``, inward
+    unit normal ``n``, area element ``w`` and metric ``E, F, G`` are
+    jets of order ``max(order - 2, 0)``.  At order 1 the fields stop
+    after the normal; from order 2 the second fundamental form
+    ``e, f, g2`` follows, of order ``order - 2``.  Raises
+    ``SingularChartError`` where the immersion degenerates.
     """
     r = chart.jet(u, v, order)
-    k = order - 2
+    k = max(order - 2, 0)
     ru, rv = r.d(1, 0, k), r.d(0, 1, k)
     E, F, G = _dot(ru, ru), _dot(ru, rv), _dot(rv, rv)
     cross = _cross(ru, rv)
@@ -64,14 +74,11 @@ def surface_jets(chart: SurfaceChart, u, v, order):
                                  float(np.min(sine)))
 
     n = cross * (chart.normal_sign / w)
-    e, f, g2 = (_dot(n, r.d(2, 0)), _dot(n, r.d(1, 1)), _dot(n, r.d(0, 2)))
-    den = E * G - F * F
-    return {
-        "r": r, "ru": ru, "rv": rv, "n": n, "w": w,
-        "E": E, "F": F, "G": G, "e": e, "f": f, "g2": g2,
-        "trL": (e * G - 2.0 * f * F + g2 * E) / den,
-        "detL": (e * g2 - f * f) / den,
-    }
+    s = {"r": r, "ru": ru, "rv": rv, "n": n, "w": w, "E": E, "F": F, "G": G}
+    if order >= 2:
+        s["e"], s["f"], s["g2"] = (_dot(n, r.d(2, 0)), _dot(n, r.d(1, 1)),
+                                   _dot(n, r.d(0, 2)))
+    return s
 
 
 @functools.cache
@@ -145,41 +152,56 @@ def curvature_grid(chart: SurfaceChart, u, v, order=2, names=None):
     """Evaluate the surface fields at an array of parameter points.
 
     u and v broadcast against each other (a quadrature grid passes its
-    open mesh).  One embedding jet of ``order`` (2, 3 or 4) serves every
-    field.  Returns a dict of arrays: position ``r``, area element
-    ``w``, inward unit normal ``n`` and the metric and shape data; order
-    3 adds the parameter derivatives ``Hu, Hv`` of tr L and
-    ``grad_trL_sq``, the squared tangential gradient |grad tr L|^2;
-    order 4 also adds ``lap_trL``, the Laplace-Beltrami of tr L,
-    lap f = (d_u P + d_v Q) / w with the metric fluxes
-    P = (G f_u - F f_v)/w and Q = (E f_v - F f_u)/w.
+    open mesh).  Returns a dict of arrays.  ``order`` is 2, 3 or 4:
+    order 2 gives position ``r``, area element ``w``, inward unit
+    normal ``n`` and the metric and shape data; order 3 adds the
+    parameter derivatives ``Hu, Hv`` of tr L and ``grad_trL_sq``, the
+    squared tangential gradient |grad tr L|^2; order 4 also adds
+    ``lap_trL``, the Laplace-Beltrami of tr L, lap f = (d_u P + d_v Q)
+    / w with the metric fluxes P = (G f_u - F f_v)/w and
+    Q = (E f_v - F f_u)/w.
 
     ``names``, if given, selects the fields returned; the others are
     never assembled on the grid.  A name that ``order`` does not
-    provide raises ``ValueError``.
+    provide raises ``ValueError``.  One embedding jet serves every
+    field: of order 1 when each name is one of ``r, ru, rv, n, w, E,
+    F, G``, which need only first derivatives, and of ``order``
+    otherwise.  The values do not depend on that choice.
     """
+    if order not in _FIELDS:
+        raise ValueError(f"curvature order must be 2, 3 or 4, got {order!r}")
+    names = _FIELDS[order] if names is None else tuple(names)
+    unknown = [name for name in names if name not in _FIELDS[order]]
+    if unknown:
+        raise ValueError(f"no curvature field {unknown[0]!r} at order "
+                         f"{order}; expected one of "
+                         f"{', '.join(_FIELDS[order])}")
+    jet_order = 1 if _FIRST_ORDER.issuperset(names) else order
+
     def fields(u, v):
-        s = surface_jets(chart, u, v, order)
+        s = surface_jets(chart, u, v, jet_order)
         out = {name: jet.value for name, jet in s.items()}
-        if order >= 3:
-            E, F, G = out["E"], out["F"], out["G"]
-            Hu, Hv = s["trL"].derivative(1, 0), s["trL"].derivative(0, 1)
+        if jet_order >= 2:
+            E, F, G = s["E"], s["F"], s["G"]
+            den = E * G - F * F
+            inv = den ** -1             # shared by tr L and det L
+            trL = (s["e"] * G - 2.0 * s["f"] * F + s["g2"] * E) * inv
+            out["trL"] = trL.value
+            # det L is never differentiated: formed from values
+            out["detL"] = ((out["e"] * out["g2"] - out["f"] * out["f"])
+                           * inv.value)
+        if jet_order >= 3:
+            Hu, Hv = trL.derivative(1, 0), trL.derivative(0, 1)
             out["Hu"], out["Hv"] = Hu, Hv
-            out["grad_trL_sq"] = ((G * Hu ** 2 - 2.0 * F * Hu * Hv
-                                   + E * Hv ** 2) / (E * G - F * F))
-        if order == 4:
-            E, F, G, w = s["E"], s["F"], s["G"], s["w"]
-            Hu, Hv = s["trL"].d(1, 0), s["trL"].d(0, 1)
+            out["grad_trL_sq"] = ((out["G"] * Hu ** 2
+                                   - 2.0 * out["F"] * Hu * Hv
+                                   + out["E"] * Hv ** 2) / den.value)
+        if jet_order == 4:
+            w = s["w"]
+            Hu, Hv = trL.d(1, 0), trL.d(0, 1)
             P = (G * Hu - F * Hv) / w
             Q = (E * Hv - F * Hu) / w
             out["lap_trL"] = (P.d(1, 0).value + Q.d(0, 1).value) / w.value
-        if names is None:
-            return out
-        unknown = [name for name in names if name not in out]
-        if unknown:
-            raise ValueError(f"no curvature field {unknown[0]!r} at order "
-                             f"{order}; expected one of {', '.join(out)}")
         return {name: out[name] for name in names}
 
     return _blockwise(fields, u, v)
-

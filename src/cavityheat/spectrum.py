@@ -786,8 +786,11 @@ def sum_parts(modes, name, x):
     """(raw, tail) of the sum _SUMS[name] at x, computed once per list.
 
     ValueError names the argument when x is not positive and finite.
-    The pair is kept in the list's memo under (name, x); once that holds
-    _SUM_MEMO_SIZE entries, the oldest is dropped first.
+    A tail whose float arithmetic raises (t ** -1.5 overflows at a tiny
+    t, gamma ** 2 underflows to a zero divisor at a tiny gamma or
+    overflows at a huge one) is +inf, which no cut-off test accepts.
+    The pair is kept in the list's memo under (name, x); once that
+    holds _SUM_MEMO_SIZE entries, the oldest is dropped first.
     """
     arg, terms, tail = _SUMS[name]
     _require_positive(arg, x)
@@ -797,8 +800,11 @@ def sum_parts(modes, name, x):
     if key not in memo:
         if len(memo) >= _SUM_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = (exact_sum(terms(modes, x)),
-                     tail(*modes.density, modes.omega_max, x))
+        try:
+            bound = tail(*modes.density, modes.omega_max, x)
+        except (OverflowError, ZeroDivisionError):
+            bound = math.inf
+        memo[key] = (exact_sum(terms(modes, x)), bound)
     return memo[key]
 
 

@@ -89,6 +89,21 @@ class _ChartBlock:
         self.xyz = {}
 
 
+def _columns(line, parts):
+    """1-based column of each of ``parts``, the words of ``line``.
+
+    Each word is searched for after the one before it, so a word that
+    also occurs inside an earlier one (the ``a`` of ``domain``) gets
+    its own column.
+    """
+    cols, at = [], 0
+    for part in parts:
+        at = line.index(part, at)
+        cols.append(at + 1)
+        at += len(part)
+    return cols
+
+
 def _tokenise(text):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -105,34 +120,38 @@ def loads_surface(text, name="surface") -> SurfaceModel:
     block = None
 
     for lineno, line in _tokenise(text):
-        indent = len(line) - len(line.lstrip())
         parts = line.split()
+        cols = _columns(line, parts)
         key = parts[0]
-        col0 = indent + 1
+        col0 = cols[0]
 
         if block is not None:
             if key == "end":
                 charts.append(block)
                 block = None
                 continue
-            _chart_line(block, key, parts, line, lineno, params)
+            _chart_line(block, line, parts, cols, lineno, params)
             continue
 
         if key == "schema":
-            meta["schema"] = _int_field(parts, line, lineno, "schema")
+            meta["schema"] = _int_field(parts, cols, lineno, "schema")
         elif key == "name":
             if len(parts) < 2:
                 raise SurfaceFileError("name needs a value", lineno, col0)
             meta["name"] = " ".join(parts[1:])
         elif key == "components":
-            meta["components"] = _int_field(parts, line, lineno, "components")
+            meta["components"] = _int_field(parts, cols, lineno,
+                                            "components")
         elif key == "genera":
             genera_line = lineno
-            try:
-                meta["genera"] = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise SurfaceFileError("genera must be integers", lineno,
-                                       line.find(parts[1]) + 1) from None
+            genera = []
+            for part, col in zip(parts[1:], cols[1:]):
+                try:
+                    genera.append(int(part))
+                except ValueError:
+                    raise SurfaceFileError("genera must be integers",
+                                           lineno, col) from None
+            meta["genera"] = tuple(genera)
             if not meta["genera"]:
                 raise SurfaceFileError("genera needs at least one integer",
                                        lineno, col0)
@@ -141,12 +160,10 @@ def loads_surface(text, name="surface") -> SurfaceModel:
                 raise SurfaceFileError("expected: param <name> <expression>",
                                        lineno, col0)
             pname = parts[1]
-            pcol = line.find(pname, indent + len(key))
-            _check_param_name(pname, params, lineno, pcol + 1)
+            _check_param_name(pname, params, lineno, cols[1])
             names = {"pi": math.pi, **params}
-            params[pname] = _parse_expression(
-                parts[2], names, lineno,
-                line.find(parts[2], pcol + len(pname)) + 1)
+            params[pname] = _parse_expression(parts[2], names, lineno,
+                                              cols[2])
         elif key == "chart":
             block = _ChartBlock(line=lineno)
             if len(parts) == 2:
@@ -155,7 +172,7 @@ def loads_surface(text, name="surface") -> SurfaceModel:
                 except ValueError:
                     raise SurfaceFileError(
                         "chart component must be an integer", lineno,
-                        line.find(parts[1]) + 1) from None
+                        cols[1]) from None
         else:
             raise SurfaceFileError(f"unknown directive {key!r}", lineno, col0)
 
@@ -203,26 +220,26 @@ def _check_param_name(name, params, lineno, col):
     raise SurfaceFileError(f"parameter name {name!r} {problem}", lineno, col)
 
 
-def _int_field(parts, line, lineno, what):
+def _int_field(parts, cols, lineno, what):
     if len(parts) != 2:
-        raise SurfaceFileError(f"expected: {what} <integer>", lineno, 1)
+        raise SurfaceFileError(f"expected: {what} <integer>", lineno,
+                               cols[0])
     try:
         return int(parts[1])
     except ValueError:
         raise SurfaceFileError(f"{what} must be an integer", lineno,
-                               line.find(parts[1]) + 1) from None
+                               cols[1]) from None
 
 
-def _chart_line(block, key, parts, line, lineno, params):
-    col0 = line.find(key) + 1
+def _chart_line(block, line, parts, cols, lineno, params):
+    key, col0 = parts[0], cols[0]
     names = {"pi": math.pi, **params}
     if key == "domain":
         if len(parts) != 4 or parts[1] not in ("u", "v"):
             raise SurfaceFileError(
                 "expected: domain u|v <lo> <hi>", lineno, col0)
-        lo = _parse_expression(parts[2], names, lineno, line.find(parts[2]) + 1)
-        hi = _parse_expression(parts[3], names, lineno,
-                               line.rfind(parts[3]) + 1)
+        lo = _parse_expression(parts[2], names, lineno, cols[2])
+        hi = _parse_expression(parts[3], names, lineno, cols[3])
         if lo >= hi:
             raise SurfaceFileError("domain lower bound must be < upper",
                                    lineno, col0)
@@ -232,11 +249,10 @@ def _chart_line(block, key, parts, line, lineno, params):
             raise SurfaceFileError("expected: periodic u|v", lineno, col0)
         block.periodic.add(parts[1])
     elif key in ("x", "y", "z"):
-        expr_text = line.split(None, 1)[1] if len(parts) > 1 else ""
-        if not expr_text:
+        if len(parts) < 2:
             raise SurfaceFileError(f"{key} needs an expression", lineno, col0)
         block.xyz[key] = _parse_expression(
-            expr_text, names, lineno, line.find(expr_text) + 1, ("u", "v"))
+            line[cols[1] - 1:], names, lineno, cols[1], ("u", "v"))
     elif key == "normal":
         if len(parts) != 2 or parts[1] not in ("inward", "outward"):
             raise SurfaceFileError("expected: normal inward|outward",

@@ -1,6 +1,7 @@
 """Regulated frequency sums and their divergence structure."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -23,6 +24,7 @@ from cavityheat.casimir import (
     remainder_scan,
 )
 from cavityheat.coefficients import compute_moments, em_coefficients
+from cavityheat.errors import NumericalError
 from cavityheat.spectrum import (
     CutoffTooLowError,
     ModeList,
@@ -111,6 +113,26 @@ class TestRegularizedSum:
     def test_non_finite_gamma_rejected(self, em60, kind, gamma):
         with pytest.raises(ValueError, match="gamma must be finite"):
             regularized_sum(em60, gamma, kind)
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-200, 1e-300, 5e-324])
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_tail_beyond_the_floats_is_unusable(self, em60, kind, gamma):
+        # gamma ** 2 (heat) or s ** 4 (sqrt) underflows to a zero
+        # divisor below about 1e-162: the tail reads +inf
+        raw, tail = spectrum.sum_parts(replace(em60), kind.value, gamma)
+        assert tail == math.inf and math.isfinite(raw)
+        with pytest.raises(CutoffTooLowError) as err:
+            regularized_sum(em60, gamma, kind)
+        assert err.value.minimum_usable == min_usable_gamma(em60, kind)
+
+    @pytest.mark.parametrize("kind", list(RegulatorKind),
+                             ids=lambda k: k.name)
+    def test_finite_tail_is_the_closed_form(self, em60, kind):
+        tail = spectrum._SUMS[kind.value][2]
+        for gamma in (1e-150, 1e-3, 0.5):
+            assert spectrum.sum_parts(replace(em60), kind.value, gamma)[1] \
+                == tail(*em60.density, em60.omega_max, gamma)
 
     def test_cutoff_error_carries_minimum(self, em60):
         with pytest.raises(CutoffTooLowError) as err:
@@ -383,6 +405,22 @@ class TestRemainderScan:
         b = remainder_scan(em60, pred, np.geomspace(1e-3, 5e-2, 30))
         with pytest.raises(ValueError, match="grid"):
             detection_z(a, b)
+
+    @pytest.mark.parametrize("a0, message", [
+        (1e308, "non-finite prediction inf at gamma=0.001"),
+        (-1e308, "non-finite prediction -inf at gamma=0.001"),
+        (1e300, "non-finite remainder fit: const component nan"),
+        (1e200, r"non-finite remainder fit: const component .* \+- inf"),
+    ])
+    def test_non_finite_scan_raises(self, em60, ball_coeffs, a0, message):
+        # a finite a_0 near the float range overflows the prediction or
+        # the fit; the scan raises instead of returning NaN or inf
+        values = [a0, *ball_coeffs.values[1:]]
+        pred = divergence_prediction(values, RegulatorKind.HEAT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                remainder_scan(em60, pred, np.geomspace(1e-3, 5e-2, 40))
 
     def test_too_few_usable_points(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.SQRT)

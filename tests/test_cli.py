@@ -481,6 +481,39 @@ class TestPipeline:
         assert doc["diagnostics"]["minimum_usable"] == min_usable_gamma(
             ModeList.from_csv(modes_csv), RegulatorKind.HEAT)
 
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--t-lo", "1e-300"),
+        ("casimir", "--gamma-lo", "1e-300"),
+        ("casimir", "--gamma-lo", "1e-300", "--regulator", "sqrt"),
+        ("casimir", "--gamma-lo", "1e300", "--gamma-hi", "1e305"),
+    ], ids=["trace", "casimir-heat", "casimir-sqrt", "casimir-huge"])
+    def test_tail_beyond_the_floats_exits_2(self, small_run, tmp_path,
+                                            capsys, argv):
+        # the truncation tail overflows the floats there (gamma ** 2
+        # raises at both ends): an unusable point, not a traceback
+        argv = [argv[0], "--modes", small_run / "modes_em.csv", *argv[1:]]
+        if argv[0] == "casimir":
+            argv += ["--coeffs", small_run / "coeffs.json"]
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        doc = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert doc["diagnostics"]["minimum_usable"] > 1e-3
+
+    def test_casimir_coefficient_near_the_float_range_exits_2(
+            self, small_run, tmp_path, capsys):
+        # 1e308 is finite, so the file is valid; its prediction is not
+        doc = json.loads((small_run / "coeffs.json").read_text())
+        doc["em"]["values"][0] = 1e308
+        coeffs = tmp_path / "huge.json"
+        coeffs.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(out, "casimir", "--modes", small_run / "modes_em.csv",
+                   "--coeffs", coeffs) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"].startswith("non-finite prediction inf")
+        assert not (out / "casimir.json").exists()
+
     def test_scalar_modes(self, tmp_path):
         assert run(tmp_path, "modes", "--p", "0", "--omega-max", 12) == 0
         doc = json.loads((tmp_path / "modes_0.manifest.json").read_text())

@@ -95,6 +95,9 @@ def test_open_mesh_and_blocks_change_no_value(monkeypatch):
 @pytest.mark.parametrize("order, names", [
     (2, ("w",)),
     (2, ("r", "n")),
+    (3, ("w",)),
+    (4, ("r", "n")),
+    (4, ("ru", "rv", "E", "F", "G")),
     (3, ("w", "trL", "detL", "grad_trL_sq")),
     (4, ("w", "trL", "lap_trL")),
 ])
@@ -107,6 +110,30 @@ def test_named_fields_equal_the_full_grid(monkeypatch, order, names):
     assert tuple(named) == names
     for name in names:
         assert np.array_equal(named[name], full[name]), name
+
+
+@pytest.mark.parametrize("order, names, jet_order", [
+    (4, ("r", "n", "w", "E", "F", "G", "ru", "rv"), 1),
+    (2, ("w", "e"), 2),
+    (3, ("w", "detL"), 3),
+    (4, ("lap_trL",), 4),
+    (3, None, 3),
+])
+def test_jet_order_follows_the_names(monkeypatch, order, names, jet_order):
+    # first-order fields need an order-1 embedding jet; any other name
+    # takes the grid's own order
+    orders = []
+    surface_jets = curvature.surface_jets
+
+    def counted(chart, u, v, order):
+        orders.append(order)
+        return surface_jets(chart, u, v, order)
+
+    monkeypatch.setattr(curvature, "surface_jets", counted)
+    chart = torus(2.0, 0.5).charts[0]
+    U, V, _ = QuadratureSpec(order=8).grid(chart)
+    curvature.curvature_grid(chart, U, V, order=order, names=names)
+    assert orders == [jet_order]
 
 
 @pytest.mark.parametrize("shape", [(1, 40000), (4, 100, 100)])
@@ -141,6 +168,23 @@ def test_unknown_field_name_raises():
     with pytest.raises(ValueError, match="'lap_trL' at order 3"):
         curvature.curvature_grid(chart, U, V, order=3,
                                  names=("w", "lap_trL"))
+    # checked against the order asked for, not the order-1 jet that
+    # would serve the first-order names
+    with pytest.raises(ValueError, match="'Hu' at order 2"):
+        curvature.curvature_grid(chart, U, V, order=2, names=("w", "Hu"))
+    with pytest.raises(ValueError, match="order must be 2, 3 or 4"):
+        curvature.curvature_grid(chart, U, V, order=1, names=("w",))
+
+
+def test_first_order_grid_checks_for_singular_charts():
+    # a cone's apex edge: r_u vanishes at u = 0
+    chart = SurfaceChart.from_expressions(
+        "u*cos(v)", "u*sin(v)", "u", u_range=(0, 1), v_range=(0, 6.3),
+        name="cone")
+    for names in (("w",), None):
+        with pytest.raises(curvature.SingularChartError, match="cone"):
+            curvature.curvature_grid(chart, np.array([0.0, 0.5]),
+                                     np.array([1.0, 1.0]), names=names)
 
 
 def test_constant_component_chart():

@@ -1,5 +1,6 @@
 """Surface quadrature: exact areas/volumes, Gauss-Bonnet, convergence."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -112,6 +113,20 @@ class TestVolume:
         with pytest.raises(OrientationError):
             enclosed_volume(model, Q16)
 
+    @pytest.mark.parametrize("model", [ellipsoid(1.0, 1.3, 1.7),
+                                       torus(2.0, 0.5)],
+                             ids=["ellipsoid", "torus"])
+    def test_flipped_stock_normals_rejected(self, model):
+        # the first-order volume grid keeps the orientation of n
+        flipped = SurfaceModel(
+            name=model.name, topology=model.topology,
+            charts=tuple(dataclasses.replace(c, normal_sign=-c.normal_sign)
+                         for c in model.charts))
+        volume = enclosed_volume(model, Q16).value
+        with pytest.raises(OrientationError,
+                           match=f"signed volume {-volume:.6g} <= 0"):
+            enclosed_volume(flipped, Q16)
+
 
 def by_parts_gap(model, quad):
     """|moment - integral(tr L * lap tr L)| relative to the moment.
@@ -181,6 +196,21 @@ class TestGradLaplacianPair:
         monkeypatch.setattr(curvature, "surface_jets", counted_jets)
         trL_lap_trL_integral(ellipsoid(1.0, 1.3, 1.7), Q16)
         assert len(grids) == 2 and jets == [order, order]
+
+
+def test_moment_jet_orders(monkeypatch):
+    # per level, the volume's area element and r . n need first
+    # derivatives only; the boundary fields need third
+    orders = []
+    surface_jets = curvature.surface_jets
+
+    def counted(chart, u, v, order):
+        orders.append(order)
+        return surface_jets(chart, u, v, order)
+
+    monkeypatch.setattr(curvature, "surface_jets", counted)
+    compute_moments(ellipsoid(1.0, 1.3, 1.7), QuadratureSpec(order=8))
+    assert orders == [1, 1, 1, 1, 3, 3]
 
 
 @pytest.mark.parametrize("order", [16, 32, 64])

@@ -268,6 +268,20 @@ class TestHeatTrace:
         K, bound = heat_trace(em30, 1.01 * t_min)
         assert bound <= spectrum.HEAT_TRACE_RTOL * K
 
+    @pytest.mark.parametrize("t", [1e-200, 1e-300, 5e-324])
+    def test_tail_beyond_the_floats_is_unusable(self, em30, t):
+        # t ** -1.5 overflows below about 1e-206: the tail reads +inf
+        raw, tail = spectrum.sum_parts(replace(em30), "heat_trace", t)
+        assert math.isfinite(raw) and tail > 1e299
+        with pytest.raises(CutoffTooLowError) as err:
+            heat_trace(em30, t)
+        assert err.value.minimum_usable == min_usable_t(em30)
+        if t < 1e-206:
+            assert tail == math.inf
+        else:
+            assert tail == spectrum._heat_trace_tail(
+                *em30.density, em30.omega_max, t)
+
     def test_min_usable_t_is_the_trace_boundary(self, em60):
         t_min = min_usable_t(em60)
         heat_trace(em60, t_min)  # no raise

@@ -233,6 +233,34 @@ def test_parameter_names_are_free_identifiers(line, problem, lineno,
     assert (err.value.line, err.value.column) == (lineno, column)
 
 
+# a word that also occurs inside the keyword before it is reported at
+# its own column: (file, message, line number, column)
+WORD_COLUMNS = {
+    "domain-lo": (with_line("", "  domain u a pi"), "unknown name 'a'", 8, 12),
+    "domain-hi": (with_line("", "  domain u 0 a"), "unknown name 'a'", 8, 14),
+    "genera": (with_line("").replace("genera 0", "genera e"),
+               "genera must be integers", 3, 8),
+    "genera-second": (with_line("").replace("genera 0", "genera 0 e"),
+                      "genera must be integers", 3, 10),
+    "chart": (with_line("").replace("chart\n", "chart a\n"),
+              "chart component must be an integer", 5, 7),
+    "schema": (with_line("").replace("schema 1", "schema s"),
+               "schema must be an integer", 1, 8),
+    "components-count": (with_line("").replace("components 1",
+                                                "  components 1 2"),
+                         "expected: components <integer>", 2, 3),
+    "expression": (with_line("", "  x x"), "unknown name 'x'", 8, 5),
+}
+
+
+@pytest.mark.parametrize("case", WORD_COLUMNS)
+def test_errors_point_at_the_word(case):
+    text, message, line, column = WORD_COLUMNS[case]
+    with pytest.raises(SurfaceFileError, match=message) as err:
+        loads_surface(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 EXPRESSION_TOKENS = ("u", "v", "pi", "a", "0", "1", "2.5", "1e308", "True",
                      "+", "-", "*", "/", "^", "**", "(", ")", "sin(",
                      "sqrt(", "exp(", "cosh(", "tan(", ",", " ", ".", "x")
