@@ -1,13 +1,11 @@
-"""Weighted least-squares extraction of heat-trace coefficients.
+"""Series terms from Mellin poles, and the weighted fit of heat traces.
 
-(t, K, bound) samples of K(t) are fit against the half-integer power
-basis t^(-3/2) .. t^1 with per-sample uncertainty bound + scale * t^(3/2)
-+ 1e-14 * max(|K|, 1).  A first pass with scale 0 sizes the last basis
-coefficient a_last, and the reported fit refits with scale = |a_last|
-(the last-included-term heuristic).  Known coefficients can be pinned
-and are subtracted before solving.  Standard errors come from the
-weighted normal equations, inflated by sqrt(chi2/dof) when the
-residuals exceed the declared uncertainties.
+pole_terms generates the terms of a_n in each spectral sum.  (t, K,
+bound) samples are fit against the heat trace's exponents with
+per-sample uncertainty bound + |a_last| t^(3/2) + 1e-14 max(|K|, 1),
+a_last the last basis coefficient of a first pass without that term.
+Pinned coefficients are subtracted first; standard errors inflate by
+sqrt(chi2/dof) when the residuals exceed the declared uncertainties.
 """
 
 from __future__ import annotations
@@ -17,17 +15,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllPosedFitError
+from .errors import IllPosedFitError, NumericalError
 
 __all__ = [
     "FitConfig",
     "FitResult",
     "IllPosedFitError",
     "fit_coefficients",
+    "pole_terms",
     "weighted_power_fit",
 ]
 
-HALF_POWERS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0)
+# name in spectrum._SUMS -> (c, ((a, b), ...), (s0, s1)): the sum's weight
+# has Mellin transform g(u) = c prod Gamma(a + b u), times zeta(s0 + s1 u)
+_KERNELS = {"heat_trace": (1.0, ((0.0, 1.0),), (0.0, 1.0)),
+            "heat": (1.0, ((0.0, 1.0),), (-0.5, 1.0)),
+            "sqrt": (2.0, ((0.0, 2.0),), (-0.5, 1.0)),
+            "resolvent2": (1.0, ((0.0, 1.0), (2.0, -1.0)), (2.0, -1.0))}
+
+
+def pole_terms(kernel, depth):
+    """(exponent of x, power of log x, factor of a_n) for each n < depth.
+
+    zeta(s) has a pole at s = (3 - n)/2 with residue a_n / Gamma(s), so a_n's
+    term is g(u) / Gamma(s) x^-u, a residue in u standing in for a Gamma
+    value at its pole.  A pole of Gamma(s) alone leaves zeta regular, the
+    term +0.0; one of g alone doubles the pole: -res g / Gamma(s) x^-u log x.
+    """
+    c, gammas, (s0, s1) = _KERNELS[kernel]
+    # Gamma(s) cancels a factor of g equal to it, or else divides g
+    factors = [(a, b, 1) for a, b in gammas if (a, b) != (s0, s1)]
+    factors += [(s0, s1, -1)] * (len(factors) == len(gammas))
+    terms = []
+    for e in ((s0 - (3 - n) / 2) / s1 for n in range(depth)):     # e = -u
+        order, factor = 0, c
+        for a, b, p in factors:
+            x = a - b * e
+            pole = x <= 0 and x.is_integer()
+            v = (-1) ** x / math.gamma(1 - x) / b if pole else math.gamma(x)
+            order += p * pole
+            factor *= v if p > 0 else 1 / v
+        terms.append((e, max(order, 0),
+                      0.0 if order < 0 else -factor if order else factor))
+    return tuple(terms)
+
+
+HALF_POWERS = tuple(e for e, _, _ in pole_terms("heat_trace", 6))
 
 CONDITION_REPORT = 1e6      # report the condition number beyond this
 CONDITION_LIMIT = 1e10      # refuse to solve beyond this
@@ -104,12 +137,13 @@ class FitResult:
         }
 
 
+@np.errstate(all="ignore")
 def weighted_power_fit(design, b, sigma):
     """Column-scaled weighted least squares with honest standard errors.
 
     Returns (coefficients, stderrs, condition, chi2_dof, residual_norm).
-    Raises IllPosedFitError when the scaled design is numerically rank
-    deficient beyond CONDITION_LIMIT.
+    Raises IllPosedFitError for a condition beyond CONDITION_LIMIT, and
+    NumericalError for a design that is not finite or an SVD that fails.
     """
     design = np.asarray(design, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -119,9 +153,14 @@ def weighted_power_fit(design, b, sigma):
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0] = 1.0
     As = A / scale
+    if not np.isfinite(As).all():
+        raise NumericalError("non-finite weighted design")
     # SVD solve: the covariance diagonal V s^-2 V^T stays non-negative
     # even when the normal equations would be numerically indefinite
-    U, s, Vt = np.linalg.svd(As, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(As, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"weighted fit: {err}") from None
     cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
     if cond > CONDITION_LIMIT:
         raise IllPosedFitError(
@@ -143,6 +182,7 @@ def weighted_power_fit(design, b, sigma):
     return coef, stderr, cond, chi2_dof, float(np.linalg.norm(resid))
 
 
+@np.errstate(all="ignore")
 def fit_coefficients(samples, config: FitConfig) -> FitResult:
     """Fit the (t, K, bound) arrays of heat_trace_samples to the basis."""
     t, K, bounds = (np.asarray(x, dtype=float) for x in samples)
@@ -158,12 +198,13 @@ def fit_coefficients(samples, config: FitConfig) -> FitResult:
         target = target - value * t ** e
     design = np.column_stack([t ** e for e in free])
     floor = 1e-14 * np.maximum(np.abs(K), 1.0)
-    # the first pass estimates the last-basis coefficient that sizes the
-    # next-order contamination term of the second
     first = weighted_power_fit(design, target, bounds + floor)[0]
     scale = abs(first[free.index(max(free))])
     coef, stderr, cond, chi2_dof, resid = weighted_power_fit(
         design, target, bounds + scale * t ** 1.5 + floor)
+    for e, c, s in zip(free, coef, stderr):
+        if not (math.isfinite(c) and math.isfinite(s)):
+            raise NumericalError(f"non-finite t^{e:g} fit {c:g} +- {s:g}")
 
     return FitResult(
         coefficients={e: (float(c), float(s))

@@ -1,21 +1,10 @@
 """Divergence structure of regularised frequency sums.
 
 The regulated zero-point sum S(gamma) = sum_k multiplicity * sqrt(lambda)
-* regulator(gamma, lambda) diverges as gamma -> 0 with coefficients fixed
-by the heat-trace coefficients a_0..a_4:
-
-    exp(-gamma lambda):        (2/sqrt(pi)) a0 g^-2 + (sqrt(pi)/2) a1 g^-3/2
-                               + (1/sqrt(pi)) a2 g^-1 + 0 * a3 g^-1/2
-                               + (1/(2 sqrt(pi))) a4 log g
-    exp(-sqrt(gamma lambda)):  (24/sqrt(pi)) a0 g^-2 + 4 a1 g^-3/2
-                               + (2/sqrt(pi)) a2 g^-1 + 0 * a3 g^-1/2
-                               + (1/(2 sqrt(pi))) a4 log g
-
-Each factor is a residue of the spectral zeta function, a_n/Gamma((3-n)/2)
-at u = (3-n)/2 (Kirsten, Spectral Functions in Mathematics and Physics,
-2002).  At s = 0 the a_4 pole meets that of Gamma(s) and leaves log g; the
-square-root regulator doubles the residue but halves the log: one log slot.
-
+* regulator(gamma, lambda) diverges as gamma -> 0 in the slots g^-2,
+g^-3/2, g^-1, g^-1/2 and log g: a_0..a_4 times the factors that
+asymptotics.pole_terms generates from the poles of the spectral zeta
+function (Kirsten, Spectral Functions in Mathematics and Physics, 2002).
 The gamma^-1/2 slot is exactly zero for both regulators -- a_3 drops out
 of the divergence, which is what makes the energy difference finite.
 ``remainder_scan`` verifies this numerically: it fits
@@ -31,10 +20,7 @@ standard errors of zero.
 
 Related quantities: the single regulator integrals
 int_0^1 t^-1/2 (t+gamma)^((n-5)/2) dt with their small-gamma
-asymptotes, which no verdict or artifact reads.  The large-k
-expansion of the mode generating function Phi(k) and the
-finite-frequency mode count 2*a3_local - genus need no spectrum; they
-are coefficients.phi_expansion and coefficients.DeltaA3.
+asymptotes, which no verdict or artifact reads.
 """
 
 from __future__ import annotations
@@ -45,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import IllPosedFitError, weighted_power_fit
+from .asymptotics import IllPosedFitError, pole_terms, weighted_power_fit
 from .errors import NumericalError
 from .spectrum import (
     CutoffTooLowError,
@@ -66,9 +52,6 @@ __all__ = [
     "remainder_scan",
     "detection_z",
 ]
-
-SQPI = math.sqrt(math.pi)
-
 
 class RegulatorKind(enum.Enum):
     """Frequency damping factor: exp(-g*lam) or exp(-sqrt(g*lam))."""
@@ -186,18 +169,11 @@ class DivergencePrediction:
                 "gamma^-1/2": self.g_m12, "log(gamma)": self.g_log}
 
 
-# factor of a_n in slot n of S(gamma): g^-2, g^-3/2, g^-1, g^-1/2, log g
-_DIVERGENCE_FACTORS = {
-    RegulatorKind.HEAT: (2.0 / SQPI, SQPI / 2.0, 1.0 / SQPI, 0.0, 0.5 / SQPI),
-    RegulatorKind.SQRT: (24.0 / SQPI, 4.0, 2.0 / SQPI, 0.0, 0.5 / SQPI),
-}
-
-
 def divergence_prediction(coeffs, kind: RegulatorKind) -> DivergencePrediction:
-    """Map heat-trace coefficients onto the divergence slots of S(gamma)."""
+    """Slot n of S(gamma) is a_n times pole_terms' factor of a_n."""
     return DivergencePrediction(
         kind, *(f * coeffs[n]
-                for n, f in enumerate(_DIVERGENCE_FACTORS[kind])))
+                for n, (_, _, f) in enumerate(pole_terms(kind.value, 5))))
 
 
 SCAN_BASIS = ("const", "gamma^-1/2", "gamma^1/2*log", "gamma^1/2")

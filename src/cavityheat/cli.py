@@ -290,17 +290,18 @@ def _cmd_fit(args, parser):
         raise ValueError(f"{args.trace}: data row {i + 1} needs finite t > 0,"
                          f" K and bound >= 0, got t={t[i]:g}, K={K[i]:g}, "
                          f"bound={bound[i]:g}")
+    n = len(t)
     try:
         # a header-only trace reaches the sample-count check with
         # (inf, -inf)
         config = FitConfig(t_lo=float(t.min(initial=math.inf)),
-                           t_hi=float(t.max(initial=-math.inf)),
-                           n_points=len(t))
+                           t_hi=float(t.max(initial=-math.inf)), n_points=n)
+        result = fit_coefficients((t, K, bound), config)
+    except errors.NumericalError as err:
+        raise type(err)(f"{args.trace}: {err}") from None
     except ValueError as err:
-        n = len(t)
         raise ValueError(f"{args.trace} has {n} data row{'s' * (n != 1)}: "
                          f"{err}") from None
-    result = fit_coefficients((t, K, bound), config)
     payload = {"schema_version": SCHEMA_VERSION,
                "fit": result.as_dict(),
                "a_n": {f"a{n}": result.a(n) for n in range(6)},

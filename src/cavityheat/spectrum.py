@@ -864,6 +864,8 @@ def resolvent2_trace(modes: ModeList, mu) -> TailCorrected:
 
 
 def resolvent2_expansion(coeffs, mu):
-    """Large-mu model sum_n Gamma((n+1)/2) a_n mu^-(n+1)/2 for n = 0..5."""
-    return sum(math.gamma((n + 1) / 2) * coeffs[n] * mu ** (-(n + 1) / 2)
-               for n in range(6))
+    """Large-mu model sum_n Gamma((n+1)/2) a_n mu^-(n+1)/2 for n = 0..5,
+    the terms asymptotics.pole_terms generates for this sum."""
+    from .asymptotics import pole_terms     # not loaded by trace or modes
+    return sum(f * coeffs[n] * mu ** e
+               for n, (e, _, f) in enumerate(pole_terms("resolvent2", 6)))

@@ -11,7 +11,7 @@ import pytest
 import cavityheat.casimir as casimir
 import cavityheat.spectrum as spectrum
 from cavityheat import QuadratureSpec, TopologyInfo, sphere
-from cavityheat.asymptotics import IllPosedFitError
+from cavityheat.asymptotics import IllPosedFitError, pole_terms
 from cavityheat.casimir import (
     RegulatorKind,
     SCAN_BASIS,
@@ -31,6 +31,7 @@ from cavityheat.spectrum import (
     em_modes,
     exact_sum,
     heat_trace,
+    resolvent2_expansion,
     resolvent2_trace,
 )
 
@@ -284,32 +285,55 @@ class TestRegulatorIntegral:
             regulator_integral(2, 2.0)
 
 
-def regulated_integral(kind, density, gamma):
-    """int_0^inf density(lam) sqrt(lam) regulator(gamma, lam) dlam."""
+# the term of each sum of spectrum._SUMS at argument x and eigenvalue lam
+SUM_WEIGHT = {
+    "heat_trace": lambda x, lam: mpmath.exp(-x * lam),
+    "heat": lambda x, lam: mpmath.sqrt(lam) * mpmath.exp(-x * lam),
+    "sqrt": lambda x, lam: (mpmath.sqrt(lam)
+                            * mpmath.exp(-mpmath.sqrt(x * lam))),
+    "resolvent2": lambda x, lam: (lam + x) ** -2,
+}
+# arguments each sum is checked at: small t and gamma, large mu
+CHECK_POINTS = {"heat_trace": (1e-3, 0.1), "heat": (1e-3, 0.1),
+                "sqrt": (1e-3, 0.1), "resolvent2": (10.0, 1e3)}
+
+
+def regulated_integral(name, density, x):
+    """int_0^inf density(lam) * (term of the sum ``name`` at x) dlam."""
     with mpmath.workdps(30):
-        g = mpmath.mpf(gamma)
-        weight = {RegulatorKind.HEAT: lambda lam: mpmath.exp(-g * lam),
-                  RegulatorKind.SQRT:
-                      lambda lam: mpmath.exp(-mpmath.sqrt(g * lam))}[kind]
+        x = mpmath.mpf(x)
         return float(mpmath.quad(
-            lambda lam: density(lam) * mpmath.sqrt(lam) * weight(lam),
-            [0, 1 / g, mpmath.inf]))
+            lambda lam: density(lam) * SUM_WEIGHT[name](x, lam),
+            [0, *sorted((x, 1 / x)), mpmath.inf]))
 
 
-def assert_slots_match_closed_forms(kind):
-    """Every slot factor of ``kind`` against a spectrum solved exactly.
+def series(name, coeffs, x):
+    """The package's expansion of the sum ``name`` at x from a_0..a_5."""
+    if name == "resolvent2":
+        return resolvent2_expansion(coeffs, x)
+    if name == "heat_trace":
+        return sum(f * coeffs[n] * x ** e
+                   for n, (e, _, f) in enumerate(pole_terms(name, 6)))
+    return divergence_prediction(coeffs, RegulatorKind(name)).evaluate(x)
 
-    Slots n = 0, 1, 2: the density lam^((1-n)/2) on (0, inf) has the
-    single heat-trace term a_n t^((n-3)/2), with a_n its integral
-    against e^-lam, and its regulated sum is that slot's power of gamma
-    alone, so the prediction must equal the sum.
 
-    Log and a_3 slots: the density lam^-3/2 on [1, inf) has K(t) =
-    a_3 + a_4 t^1/2 + O(t), with a_3 = int_1^inf lam^-3/2 dlam and, by
-    lam = mu / t, a_4 = int_0^inf mu^-3/2 (e^-mu - 1) dmu.  Its sums are
-    E_1(gamma) under HEAT and, by lam = u^2 / gamma, 2 E_1(sqrt(gamma))
-    under SQRT: -log(gamma) plus a constant and positive powers of
-    gamma, so S - prediction must reach a finite limit.
+def assert_slots_match_closed_forms(name):
+    """Every term factor of the sum ``name`` against a spectrum solved
+    exactly.
+
+    Terms n = 0, 1, 2: the density lam^((1-n)/2) on (0, inf) has the
+    single heat-trace term a_n t^-s, s = (3-n)/2, with a_n = Gamma(s) its
+    integral against e^-lam.  Its regulated sum is that slot's power of
+    gamma alone, and its T2(mu) is mu^(s-2) Gamma(s) Gamma(2-s) =
+    a_n Gamma((n+1)/2) mu^-(n+1)/2, so each expansion must equal its sum.
+
+    Log and a_3 slots of the regulated sums: the density lam^-3/2 on
+    [1, inf) has K(t) = a_3 + a_4 t^1/2 + O(t), with a_3 =
+    int_1^inf lam^-3/2 dlam and, by lam = mu / t, a_4 =
+    int_0^inf mu^-3/2 (e^-mu - 1) dmu.  Its sums are E_1(gamma) under
+    HEAT and, by lam = u^2 / gamma, 2 E_1(sqrt(gamma)) under SQRT:
+    -log(gamma) plus a constant and positive powers of gamma, so
+    S - prediction must reach a finite limit.
     """
     with mpmath.workdps(30):
         for n in range(3):
@@ -318,15 +342,16 @@ def assert_slots_match_closed_forms(kind):
             coeffs[n] = float(mpmath.quad(
                 lambda lam: lam ** power * mpmath.exp(-lam),
                 [0, 1, mpmath.inf]))
-            pred = divergence_prediction(coeffs, kind)
-            for gamma in (1e-3, 0.1):
-                exact = regulated_integral(kind, lambda lam: lam ** power,
-                                           gamma)
-                assert pred.evaluate(gamma) == pytest.approx(exact, rel=1e-12)
-
+            for x in CHECK_POINTS[name]:
+                exact = regulated_integral(name, lambda lam: lam ** power, x)
+                assert series(name, coeffs, x) == pytest.approx(exact,
+                                                                rel=1e-12)
+        if name not in ("heat", "sqrt"):
+            return
         a3 = mpmath.quad(lambda lam: lam ** mpmath.mpf(-1.5), [1, mpmath.inf])
         a4 = mpmath.quad(lambda mu: mu ** mpmath.mpf(-1.5) * mpmath.expm1(-mu),
                          [0, 1, mpmath.inf])
+    kind = RegulatorKind(name)
     pred = divergence_prediction([0, 0, 0, float(a3), float(a4), 0], kind)
     exact = {RegulatorKind.HEAT: mpmath.e1,
              RegulatorKind.SQRT: lambda g: 2 * mpmath.e1(math.sqrt(g))}[kind]
@@ -335,14 +360,48 @@ def assert_slots_match_closed_forms(kind):
     assert near == pytest.approx(far, abs=1e-4)
 
 
+SQPI = math.sqrt(math.pi)
+
+
+class TestPoleTerms:
+    """Each generated factor against its closed form, to the bit."""
+
+    @pytest.mark.parametrize("name, factors", [
+        ("heat", (2 / SQPI, math.gamma(1.5), 1 / SQPI, 0.0, 1 / (2 * SQPI))),
+        ("sqrt", (24 / SQPI, 4.0, 2 / SQPI, 0.0, 1 / (2 * SQPI))),
+    ])
+    def test_divergence_slots(self, name, factors):
+        terms = pole_terms(name, 5)
+        assert tuple(f for *_, f in terms) == factors
+        assert [e for e, *_ in terms] == [-2.0, -1.5, -1.0, -0.5, 0.0]
+        # only the a_4 slot carries log(gamma); the a_3 slot is +0.0
+        assert [p for _, p, _ in terms] == [0, 0, 0, 0, 1]
+        assert math.copysign(1.0, terms[3][2]) == 1.0
+
+    def test_resolvent_terms(self):
+        terms = pole_terms("resolvent2", 6)
+        assert terms == tuple((-(n + 1) / 2, 0, math.gamma((n + 1) / 2))
+                              for n in range(6))
+
+    def test_heat_trace_terms(self):
+        terms = pole_terms("heat_trace", 6)
+        assert terms == tuple(((n - 3) / 2, 0, 1.0) for n in range(6))
+        # +0.0, so that a fit writes the key "0.0", not "-0.0"
+        assert math.copysign(1.0, terms[3][0]) == 1.0
+
+    @pytest.mark.parametrize("name", ["heat_trace", "resolvent2"])
+    def test_terms_match_closed_forms(self, name):
+        assert_slots_match_closed_forms(name)
+
+
 class TestDivergencePrediction:
     A = (1.0, 10.0, 100.0, 1000.0, 1e4, 0.0)
 
     def test_heat_map_term_by_term(self):
-        assert_slots_match_closed_forms(RegulatorKind.HEAT)
+        assert_slots_match_closed_forms("heat")
 
     def test_sqrt_map_and_ratio(self):
-        assert_slots_match_closed_forms(RegulatorKind.SQRT)
+        assert_slots_match_closed_forms("sqrt")
         # both regulators cut off at omega ~ gamma^-1/2: one log slot
         h = divergence_prediction(self.A, RegulatorKind.HEAT)
         s = divergence_prediction(self.A, RegulatorKind.SQRT)

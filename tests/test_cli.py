@@ -4,6 +4,7 @@ import datetime
 import json
 import re
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -290,6 +291,31 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "data row 3 " in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("scale, message", [
+        ((1e300, 1.0, 1.0), "non-finite weighted design"),
+        ((1.0, 1e300, 1e300), r"non-finite t\^-1.5 fit .* \+- inf"),
+    ], ids=["t-times-1e300", "K-and-bound-times-1e300"])
+    def test_trace_beyond_the_floats_exits_2(self, small_run, tmp_path,
+                                             capsys, scale, message):
+        # every value is finite, but the weighted design or a standard
+        # error of the fit is not: a numerical failure, and no fit.json
+        lines = (small_run / "trace.csv").read_text().splitlines()
+        rows = [",".join(repr(float(v) * k) for v, k in
+                         zip(line.split(","), scale)) for line in lines[1:]]
+        trace = tmp_path / "huge_trace.csv"
+        trace.write_text("\n".join([lines[0], *rows]) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "fit", "--trace", trace) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["diagnostics"] == {"type": "NumericalError"}
+        assert doc["error"].startswith(f"{trace}: ")
+        assert re.search(message, doc["error"])
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("lo, hi", [(0.02, 0.01)], ids=["above-hi"])

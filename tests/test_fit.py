@@ -1,5 +1,7 @@
 """Coefficient fitting: exact inversion, weighting, conditioning."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cavityheat.asymptotics import (
     fit_coefficients,
     weighted_power_fit,
 )
+from cavityheat.errors import NumericalError
 
 TRUE = {-1.5: 0.188, -1.0: 0.0, -0.5: -0.752, 0.0: 0.625, 0.5: -0.0287,
         1.0: 0.003125}
@@ -135,6 +138,44 @@ class TestErrorBars:
         doc = fit.as_dict()
         assert set(doc) >= {"coefficients", "residual_norm",
                             "condition_number", "window"}
+
+    def test_coefficient_keys_are_the_half_powers(self):
+        # the exponent of a_3 is +0.0: a key "-0.0" would break fit.json
+        config = FitConfig(t_lo=0.005, t_hi=0.08, n_points=40)
+        doc = fit_coefficients(exact_samples(config), config).as_dict()
+        assert list(doc["coefficients"]) == [
+            "-1.5", "-1.0", "-0.5", "0.0", "0.5", "1.0"]
+
+
+class TestNonFinite:
+    """Values beyond the float range raise NumericalError, no warning."""
+
+    CONFIG = FitConfig(t_lo=0.005, t_hi=0.08, n_points=40)
+
+    def fit(self, t_scale=1.0, k_scale=1.0):
+        t, K, bound = exact_samples(self.CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fit_coefficients(
+                (t * t_scale, K * k_scale, bound * k_scale), self.CONFIG)
+
+    def test_weighted_design_beyond_the_floats(self):
+        with pytest.raises(NumericalError, match="non-finite weighted design"):
+            self.fit(t_scale=1e300)
+
+    def test_stderr_beyond_the_floats(self):
+        with pytest.raises(NumericalError,
+                           match=r"non-finite t\^-1.5 fit .* \+- inf"):
+            self.fit(k_scale=1e300)
+
+    def test_failed_svd_is_numerical(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="SVD did not") as info:
+            weighted_power_fit(np.eye(3), np.ones(3), np.ones(3))
+        assert not isinstance(info.value, IllPosedFitError)
 
 
 def test_min_usable_t_ties_window_to_truncation_model():

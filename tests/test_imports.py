@@ -73,6 +73,29 @@ def test_coeffs_loads_no_spectral_layer(pipeline_dir):
         "cavityheat.coefficients"}
 
 
+PACKAGE_LAYERS = tuple(f"cavityheat.{m}" for m in (
+    "cli", "errors", "spectrum", "asymptotics", "casimir", "coefficients",
+    "tables", "surfacefile", "geometry"))
+
+
+# spectrum reads asymptotics only inside resolvent2_expansion, so trace and
+# modes load no fit layer
+@pytest.mark.parametrize("argv, layers", [
+    (["modes", "--omega-max", "20", "--out", "small"],
+     {"cli", "errors", "spectrum"}),
+    (["trace", "--modes", "modes_em.csv", "--t-lo", "0.015",
+      "--t-hi", "0.09", "--out", "t"], {"cli", "errors", "spectrum"}),
+    (["fit", "--trace", "trace.csv", "--out", "f"],
+     {"cli", "errors", "asymptotics"}),
+    (["casimir", "--modes", "modes_em.csv", "--coeffs", "coeffs.json",
+      "--out", "c"], {"cli", "errors", "spectrum", "asymptotics", "casimir"}),
+], ids=["modes", "trace", "fit", "casimir"])
+def test_subcommand_package_layers(pipeline_dir, argv, layers):
+    code = f"from cavityheat.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(code, pipeline_dir, PACKAGE_LAYERS) == {
+        f"cavityheat.{m}" for m in layers}
+
+
 def test_scipy_loads_at_the_first_bessel_evaluation(tmp_path):
     code = "from cavityheat.spectrum import ModeList, heat_trace"
     assert "scipy" not in loaded_after(code, tmp_path)
