@@ -239,7 +239,7 @@ def _cmd_modes(args, parser):
     _write_json(_out_dir(args) / f"modes_{p}.manifest.json",
                 {**_manifest(args, [], t0),
                  "modes": {"rows": len(modes), "count": modes.count,
-                           "families": modes.families_present()}})
+                           "families": sorted(set(modes.family.tolist()))}})
     return 0
 
 

@@ -38,11 +38,12 @@ them, and its values at x > 0 are the same to the last bit.
 
 Each tail-corrected sum (the heat trace, the heat- and sqrt-regulated
 frequency sums, the squared-resolvent trace) is one entry of _SUMS: its
-terms, whose correctly rounded sum exact_sum gives in a few array
-passes, and the closed-form tail of the calibrated density above the
-cutoff.  sum_parts keeps the last 256 (raw, tail) pairs on each list.
-A heat-trace point is usable while its tail is at most HEAT_TRACE_RTOL
-= 1e-8 times the raw sum.
+terms and the closed-form tail of the calibrated density above the
+cutoff.  exact_sum rounds their sum as math.fsum does, by one extraction
+pass and a rounding certificate (Rump, Ogita and Oishi 2008), in about
+20 us on em_modes(200).  sum_parts keeps the last 256 (raw, tail) pairs
+on each list.  A heat-trace point is usable while its tail is at most
+HEAT_TRACE_RTOL = 1e-8 times the raw sum.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ HEAT_TRACE_RTOL = 1e-8
 # not swallow, else the next level fails its sign check.
 _COARSE_WIDTH = 1e-3
 
-# exact_sum's crossover from fsum of a list to array passes (BENCH_13.json)
-_EXACT_SUM_MIN = 1024
+# fsum of a list beats extraction's 6-11 us below this length (BENCH_38.json)
+_EXACT_SUM_MIN = 256
 
 # mode-file columns and the type each is read as
 _CSV_TYPES = {"family": str, "l": int, "m": int, "multiplicity": int,
@@ -421,6 +422,13 @@ class ModeList:
         if unknown:
             raise ValueError(f"unknown mode family {sorted(unknown)[0]!r}; "
                              f"expected one of {', '.join(FAMILIES)}")
+        l, m, mult = map(np.asarray, (self.l, self.m, self.multiplicity))
+        bad = (l < np.isin(family, ("TE", "TM"))) | (m < 1) | (mult < 1)
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise ValueError(f"no {family[i]} mode has l = {l[i]}, m = "
+                             f"{m[i]}, multiplicity {mult[i]}: l >= 0 (>= 1 "
+                             "for TE, TM), m >= 1 and multiplicity >= 1")
         object.__setattr__(self, "family", family.astype("U9"))
         for name in ("radius", "omega_max"):
             _require_positive(name, getattr(self, name), _SidecarError)
@@ -429,8 +437,6 @@ class ModeList:
             raise _SidecarError(
                 f"omega_max {self.omega_max:g} lies below {np.sum(above)} of "
                 f"the {len(lam)} rows, which reach {np.sqrt(lam.max()):.6g}")
-        if np.any(np.asarray(self.multiplicity) < 1):
-            raise ValueError("multiplicities must be positive")
         order = np.lexsort((self.l, self.family, lam))
         for name in ("family", "l", "m", "multiplicity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name))[order])
@@ -476,9 +482,6 @@ class ModeList:
         counts = self._n_cumulative[
             np.searchsorted(self.omega, omega, side="right")]
         return int(counts) if np.ndim(counts) == 0 else counts
-
-    def families_present(self):
-        return sorted(set(self.family.tolist()))
 
     # -- truncation model ------------------------------------------------
 
@@ -618,9 +621,9 @@ class ModeList:
             modes.density
         except _SidecarError as err:
             raise ValueError(f"{meta_path.name}: {err}") from None
-        except ValueError:
+        except ValueError as err:
             if modes is None:           # the rows themselves are invalid
-                raise
+                raise ValueError(f"{path.name}: {err}") from None
             # too few modes to calibrate: raised where a tail is needed
         return modes
 
@@ -703,36 +706,33 @@ def smallest_usable(modes, name, rtol, lo, hi):
 def exact_sum(terms):
     """math.fsum(terms.tolist()) of a 1-d float64 array, bit for bit.
 
-    fsum (Shewchuk's exact summation) rounds the exact sum once.  Long
-    arrays reach that sum in a few passes, bucketing terms by exponent
-    as in Demmel and Hida's accurate summation: np.frexp writes each
-    term as t 2^(e-27), |t| < 2^27, whose integer part and 2^26 times
-    its fraction are integers summed per exponent by np.bincount, exact
-    for up to 2^25 terms as every partial sum is an integer below 2^53.
-    Runs of w adjacent buckets merge into one integer, w set by the
-    largest bucket so that these stay below 2^53, and fsum rounds the
-    sum of the few merged parts.  Arrays shorter than _EXACT_SUM_MIN,
-    or with a term not finite or big enough to overflow a partial sum,
-    go straight to fsum, as does an exact zero, whose sign fsum decides.
+    Long arrays reach fsum's single rounding of the exact sum by one
+    error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008): with n terms below 2^E, n + 2 <= 2^M and sigma =
+    2^(E + M), q = (x + sigma) - sigma sums exactly in any order and
+    r = x - q is exact with |r| <= 2^-53 sigma, so the float sum of r
+    errs by less than B = 2 n^2 2^-106 sigma.  res = q.sum() + r.sum()
+    is the rounded exact sum when its TwoSum error plus B is below half
+    the gap to its nearer neighbour.  Lengths outside [_EXACT_SUM_MIN,
+    2^25], a largest term outside (2^-900, 2^900) or not finite, a
+    failed certificate and an exact zero, whose sign fsum decides, go
+    to fsum.
     """
-    if not (_EXACT_SUM_MIN <= len(terms) <= 2 ** 25
-            and np.abs(terms).max() < 2.0 ** 960):
-        return math.fsum(terms.tolist())
-    frac, e = np.frexp(terms)
-    low = frac * 2.0 ** 27
-    high = np.trunc(low)
-    low -= high
-    e0 = int(e.min())
-    bucket = e - e0
-    high = np.bincount(bucket, high)
-    # units of 2^(e0-53), high halves 26 buckets up, 53 zeros to pad runs
-    sums = np.bincount(bucket, low, len(high) + 79) * 2.0 ** 26
-    sums[26:26 + len(high)] += high
-    w = max(53 - int(np.frexp(np.abs(sums).max())[1]), 1)
-    merged = sums[:len(sums) // w * w].reshape(-1, w) @ 2.0 ** np.arange(w)
-    total = math.fsum(
-        np.ldexp(merged, np.arange(len(merged)) * w + (e0 - 53)).tolist())
-    return total if total else math.fsum(terms.tolist())
+    n = len(terms)
+    top = np.abs(terms).max() if _EXACT_SUM_MIN <= n <= 2 ** 25 else 0.0
+    if 2.0 ** -900 < top < 2.0 ** 900:
+        k = math.frexp(top)[1] + (n + 2).bit_length()
+        q = terms + 2.0 ** k
+        q -= 2.0 ** k
+        s1 = float(q.sum())
+        s2 = float(np.subtract(terms, q, out=q).sum())
+        res = s1 + s2
+        back = res - s1
+        err = (s1 - (res - back)) + (s2 - back)
+        half = math.ulp(res) / (4 if abs(math.frexp(res)[0]) == 0.5 else 2)
+        if res and abs(err) + math.ldexp(n * n, k - 105) < half:
+            return res
+    return math.fsum(terms.tolist())
 
 
 def _heat_trace_tail(c2, c1, W, t):

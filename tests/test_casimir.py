@@ -61,7 +61,7 @@ def em60():
 
 @pytest.fixture(scope="module")
 def em200():
-    """9,875 rows: long enough for exact_sum's bucketed path."""
+    """9,875 rows: long enough for exact_sum's certified path."""
     return em_modes(200.0)
 
 

@@ -178,6 +178,9 @@ class TestUsageErrors:
         ("csv", lambda text: text.replace("\nTM,", "\nDIRICHLETS,", 1)),
         ("csv", lambda text: text.replace(",lambda", ",lam", 1)),
         ("csv", lambda text: text.replace(text.splitlines()[1], "TM,1,1", 1)),
+        ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,-4,1,", 1)),
+        ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,1,0,", 1)),
+        ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,0,1,", 1)),
         ("meta", lambda meta: {**meta, "radius": -1}),
         ("meta", lambda meta: {k: v for k, v in meta.items()
                                if k != "omega_max"}),
@@ -188,7 +191,8 @@ class TestUsageErrors:
         ("meta", lambda meta: {**meta, "radius": True}),
         ("meta-text", lambda text: "[" * 200_000),
     ], ids=["nan-lambda", "inf-lambda", "unknown-family", "long-family",
-            "missing-column", "short-row", "negative-radius", "missing-key", "null-radius",
+            "missing-column", "short-row", "negative-l", "zero-m", "em-l-0",
+            "negative-radius", "missing-key", "null-radius",
             "not-an-object", "malformed-json", "string-radius", "bool-radius",
             "deep-nesting"])
     def test_bad_mode_file_exits_1(self, tmp_path, capsys, edit):
@@ -206,8 +210,8 @@ class TestUsageErrors:
                    "--t-lo", 0.05) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if kind != "csv":
-            assert "modes_em.csv.meta.json" in err
+        assert ("modes_em.csv" if kind == "csv"
+                else "modes_em.csv.meta.json") in err
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("text", [None, "schema 1\nfrobnicate 3\n"],

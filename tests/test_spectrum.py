@@ -57,7 +57,7 @@ def em60():
 
 @pytest.fixture(scope="module")
 def em200():
-    """9,875 rows: long enough for exact_sum's bucketed path."""
+    """9,875 rows: long enough for exact_sum's certified path."""
     return em_modes(200.0)
 
 
@@ -503,6 +503,64 @@ class TestExactSum:
         assert math.isfinite(exact_sum(x))
 
 
+def near_midpoint_terms(seed, top, negate):
+    """top (1.0 or 2.0), 4,000 terms +-k 2^-100 with k in [2^50, 2^53)
+    and three float parts that put the exact sum 2^-100 to one side of
+    the midpoint between two floats: 1 + 2^-53 above 1.0, or 2 - 2^-53
+    below the power of two 2.0.  The float sum of the small terms errs
+    by far more than 2^-100, so only a sound rounding certificate, or
+    fsum, rounds these sums right."""
+    rng = np.random.default_rng(seed)
+    small = (rng.integers(2 ** 50, 2 ** 53, 4000)
+             * rng.choice([-1, 1], 4000)).tolist()
+    # in units of 2^-100
+    midpoint = (1 << 100) + (1 << 47) if top == 1.0 else (2 << 100) - (1 << 47)
+    rest = midpoint + int(rng.choice([-1, 1])) - (int(top) << 100) - sum(small)
+    parts = []
+    for _ in range(3):
+        parts.append(float(rest))
+        rest -= int(parts[-1])
+    assert rest == 0
+    x = rng.permutation(np.r_[top, np.ldexp(np.array(small + parts, float),
+                                            -100)])
+    return -x if negate else x
+
+
+class TestExactSumCertificate:
+    """The rounding certificate where it decides: sums a float sum
+    rounds to the wrong side of a midpoint, and the package's own sums,
+    which it should certify without fsum."""
+
+    @pytest.mark.parametrize("negate", [False, True],
+                             ids=["plain", "negated"])
+    @pytest.mark.parametrize("top", [1.0, 2.0],
+                             ids=["midpoint", "power-of-two-from-below"])
+    def test_near_midpoint_sums_round_as_fsum(self, top, negate):
+        for seed in range(30):
+            x = near_midpoint_terms(seed, top, negate)
+            assert exact_sum(x).hex() == math.fsum(x.tolist()).hex(), seed
+
+    def test_package_sums_take_the_certified_path(self, em200, monkeypatch):
+        # criterion 6's gamma grids, criterion 3's t grid and criterion
+        # 7's mu, on criterion 6's list
+        from cavityheat.asymptotics import FitConfig
+        narrow = np.geomspace(1e-4, 1e-2, 60)
+        grids = {"heat": narrow,
+                 "sqrt": np.r_[narrow, np.geomspace(1e-4, 1e-1, 60)],
+                 "heat_trace": FitConfig(t_lo=0.006, t_hi=0.06,
+                                         n_points=40).t_grid(),
+                 "resolvent2": [50.0, 120.0, 250.0, 500.0]}
+        fsum, fallbacks = math.fsum, []
+        monkeypatch.setattr(math, "fsum",
+                            lambda v: fallbacks.append(len(v)) or fsum(v))
+        for name, xs in grids.items():
+            for x in xs:
+                terms = spectrum._SUMS[name][1](em200, float(x))
+                want = fsum(terms.tolist())
+                assert exact_sum(terms).hex() == want.hex(), (name, x)
+        assert fallbacks == []
+
+
 HEADER = "family,l,m,multiplicity,lambda\n"
 
 
@@ -581,6 +639,16 @@ class TestModeListPlumbing:
                          if field in ("lam", "family") else value)
         with pytest.raises(ValueError, match=match):
             ModeList(**kwargs)
+
+    @pytest.mark.parametrize("family, l, m, mult", [
+        ("DIRICHLET", -4, 1, 1), ("NEUMANN", 1, 0, 3), ("TE", 0, 1, 1),
+        ("TM", 0, 1, 1), ("TE", 2, 1, 0)])
+    def test_impossible_rows_rejected(self, family, l, m, mult):
+        want = f"^no {family} mode has l = {l}, m = {m}, multiplicity {mult}:"
+        with pytest.raises(ValueError, match=want):
+            ModeList(family=np.array(["TE", family]), l=np.array([1, l]),
+                     m=np.array([1, m]), multiplicity=np.array([3, mult]),
+                     lam=np.array([1.0, 2.0]), radius=1.0, omega_max=2.0)
 
     def test_missing_sidecar_rejected(self, tmp_path, em30):
         path = tmp_path / "modes.csv"
