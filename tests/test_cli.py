@@ -5,6 +5,7 @@ import json
 import re
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import cavityheat.cli as cli
+import cavityheat.tables as tables
 from cavityheat.casimir import (
     FINITE_Z,
     RegulatorKind,
@@ -702,3 +704,66 @@ class TestPipeline:
             doc = json.loads(capsys.readouterr().err)
             assert doc["diagnostics"]["failures"] == ["identity:ellipsoid",
                                                       "identity:torus"]
+
+
+class TestVerdictExits:
+    """A failed verdict exits 2 with one JSON line on standard error,
+    after its artifact is written."""
+
+    def test_casimir_not_finite(self, tmp_path, capsys):
+        # a_2 dropped from the report leaves a gamma^-1/2 power in the
+        # sqrt-regulated sum that the prediction does not carry
+        assert run(tmp_path, "modes", "--omega-max", 90) == 0
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 0
+        doc = json.loads((tmp_path / "coeffs.json").read_text())
+        doc["em"]["values"][2] = 0
+        coeffs = tmp_path / "planted.json"
+        coeffs.write_text(json.dumps(doc))
+        modes_csv, out = tmp_path / "modes_em.csv", tmp_path / "out"
+        capsys.readouterr()
+        assert run(out, "casimir", "--modes", modes_csv, "--coeffs", coeffs,
+                   "--regulator", "sqrt") == 2
+        scan = remainder_scan(
+            ModeList.from_csv(modes_csv),
+            divergence_prediction(doc["em"]["values"], RegulatorKind.SQRT),
+            np.geomspace(1e-3, 5e-2, 40))
+        assert scan.z_half == pytest.approx(42.87, abs=0.01)
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "half-power component incompatible with a finite "
+                      "limit",
+             "diagnostics": {"half_power": list(scan.half_power),
+                             "z": scan.z_half}}, sort_keys=True) + "\n"
+        report = json.loads((out / "casimir.json").read_text())
+        assert report["scan"]["finite"] is False
+
+    def test_coeffs_exact_consistency_failure(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setitem(tables.EM_EXACT, 0, {"volume": Fraction(3)})
+        assert run(tmp_path, "coeffs", "--surface", "sphere",
+                   "--quad-order", 16) == 2
+        assert capsys.readouterr().err == (
+            '{"diagnostics": {"failed_relations": ["a0[volume]:p1-p0", '
+            '"a0[volume]:p2-p3"]}, "error": "exact consistency failure"}\n')
+        doc = json.loads((tmp_path / "coeffs.json").read_text())
+        assert doc["consistency"]["a0[volume]:p1-p0"] is False
+
+    def test_verify_failures(self, tmp_path, capsys, monkeypatch):
+        # a wrong table entry fails two exact relations per topology, and
+        # a zero tolerance fails every total-curvature residual
+        monkeypatch.setitem(tables.EM_EXACT, 0, {"volume": Fraction(3)})
+        monkeypatch.setattr("cavityheat.coefficients.gauss_bonnet_tolerance",
+                            lambda residual: 0.0)
+        assert run(tmp_path, "verify", "--points", 2, "--quad-order", 8) == 2
+        failures = [f"{topo}:a0[volume]:{route}"
+                    for topo in ("sphere", "torus")
+                    for route in ("p1-p0", "p2-p3")] + [
+            f"gauss_bonnet:{m.name}"
+            for m in (sphere(1.0), ellipsoid(1.0, 1.3, 1.7), torus(2.0, 0.5))]
+        captured = capsys.readouterr()
+        assert captured.err == json.dumps(
+            {"diagnostics": {"failures": failures},
+             "error": "verification failures"}) + "\n"
+        assert "FAIL sphere:a0[volume]:p1-p0\n" in captured.out
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert doc["failures"] == failures
