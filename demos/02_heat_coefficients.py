@@ -72,7 +72,7 @@ print("\n== the finite-mode-count combination ==")
 a3l = a3_local(moments)
 d3 = delta_a3(TopologyInfo(1, (0,)), a3l.value)
 print(f"  ball: a3_local = {a3l.value:.6f},  delta a3 = 2*a3_local - g "
-      f"= {d3.value:.6f}")
+      f"= {d3['count']:.6f}")
 kv = a3_local_kappa_variant(moments)
 print(f"  (alternative printed normalisation would give {kv.value:.6f} "
       f"= pi/32; reported for comparison, never substituted)")

@@ -58,7 +58,7 @@ for kind in (RegulatorKind.HEAT, RegulatorKind.SQRT):
 print("== modes gained by inserting the conducting surface ==")
 # the change of a_3 on inserting the surface is the finite-frequency count
 report = delta_a3(TopologyInfo(1, (0,)), a3_local(moments).value)
-print(f"  ball: count = 2 * {report.a3_local:.4f} - {report.genus} "
-      f"= {report.value:.4f}")
-print(f"  zero-frequency constant {report.psi_zero_plus}, high-frequency "
-      f"plateau {report.delta_phi_constant:+.4f}")
+print(f"  ball: count = 2 * {report['a3_local']:.4f} - {report['genus']} "
+      f"= {report['count']:.4f}")
+print(f"  zero-frequency constant {report['psi(0+)']}, high-frequency "
+      f"plateau {report['delta_phi_constant']:+.4f}")

@@ -24,10 +24,10 @@ _SUBMODULES = {
         "IdentityResiduals", "curvature_identity_residuals"),
     "tables": ("consistency_report", "harmonic_form_dims"),
     "coefficients": (
-        "DeltaA3", "GeometricMoments", "HeatCoefficientSet", "Measurement",
-        "PhiExpansion", "a3_local", "a3_local_kappa_variant",
-        "compute_moments", "delta_a3", "em_coefficients",
-        "form_coefficients", "gauss_bonnet_residual", "phi_expansion"),
+        "GeometricMoments", "HeatCoefficientSet", "Measurement", "a3_local",
+        "a3_local_kappa_variant", "compute_moments", "delta_a3",
+        "em_coefficients", "form_coefficients", "gauss_bonnet_residual",
+        "phi_expansion"),
     "spectrum": (
         "BESSEL", "ModeList", "SphericalBesselContract", "dirichlet_modes",
         "em_modes", "form_modes", "heat_trace", "heat_trace_samples",

@@ -71,18 +71,6 @@ def non_negative_int(text):
     return value
 
 
-class ToleranceFailure(errors.NumericalError):
-    """Numerical check failed; carries machine-readable diagnostics."""
-
-    def __init__(self, message, diagnostics):
-        super().__init__(message)
-        self._diagnostics = diagnostics
-
-    @property
-    def diagnostics(self):
-        return self._diagnostics
-
-
 def _sha256(path):
     """SHA-256 of an input, less the clock fields of an artifact manifest.
 
@@ -202,19 +190,19 @@ def _cmd_coeffs(args, parser):
             "value": kappa.value, "error": kappa.error,
             "flag": "alternative printed normalisation; comparison only, "
                     "never substituted"},
-        "phi_expansion": phi_expansion(em.values).as_dict(),
+        "phi_expansion": phi_expansion(em.values),
     }
     if topo.connected_boundary:
-        payload["mode_count"] = delta_a3(topo, a3l.value).as_dict()
+        payload["mode_count"] = delta_a3(topo, a3l.value)
     payload["manifest"] = _manifest(args, [inputs] if inputs else [], t0)
 
     _write_json(_out_dir(args) / "coeffs.json", payload)
     failed = [c.name for c in checks if not c.ok]
     if failed:
-        raise ToleranceFailure("exact consistency failure",
-                               {"failed_relations": failed})
+        raise errors.NumericalError("exact consistency failure",
+                                    {"failed_relations": failed})
     if not payload["gauss_bonnet"]["ok"]:
-        raise ToleranceFailure(
+        raise errors.NumericalError(
             "total-curvature residual beyond tolerance",
             {"gauss_bonnet": payload["gauss_bonnet"],
              "hint": "declared topology may not match the surface"})
@@ -357,7 +345,7 @@ def _cmd_casimir(args, parser):
                "manifest": _manifest(args, inputs, t0)}
     _write_json(_out_dir(args) / "casimir.json", payload)
     if not scan.finite:
-        raise ToleranceFailure(
+        raise errors.NumericalError(
             "half-power component incompatible with a finite limit",
             {"half_power": list(scan.half_power), "z": scan.z_half})
     return 0
@@ -418,7 +406,8 @@ def _cmd_verify(args, parser):
           + ", ".join(f"{k}={v:.2e}" for k, v in
                       report["identity_residuals"].items()))
     if failures:
-        raise ToleranceFailure("verification failures", {"failures": failures})
+        raise errors.NumericalError("verification failures",
+                                    {"failures": failures})
     return 0
 
 

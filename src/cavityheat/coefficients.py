@@ -12,17 +12,17 @@ in ``_combine``, which forms every linear combination of moments.
 
 The reports read off a_3 and its neighbours live here too, so a
 coefficient report needs no spectrum: the local part ``a3_local`` and
-its flagged variant, :class:`DeltaA3` (the change of a_3 on inserting a
-conducting surface, which is also the finite-frequency mode count) and
-:func:`phi_expansion`, the large-k expansion of the mode generating
-function.
+its flagged variant, and the two report blocks, as plain dicts, that
+read the non-local a_3: :func:`delta_a3` (the change of a_3 on
+inserting a conducting surface, which is also the finite-frequency mode
+count) and :func:`phi_expansion` (the large-k expansion of the mode
+generating function).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,9 +48,7 @@ __all__ = [
     "gauss_bonnet_tolerance",
     "a3_local",
     "a3_local_kappa_variant",
-    "DeltaA3",
     "delta_a3",
-    "PhiExpansion",
     "phi_expansion",
 ]
 
@@ -220,86 +218,41 @@ def a3_local_kappa_variant(moments: GeometricMoments) -> Measurement:
     return _combine(moments, {"trL2": 0.75 / 64, "detL": -2.5 / 64})
 
 
-@dataclass(frozen=True)
-class DeltaA3:
-    """Change of the total a_3 when a conducting surface is inserted.
+def delta_a3(topology: TopologyInfo, a3_local_value) -> dict:
+    """The ``mode_count`` block of a coefficient report.
 
-    For a cavity with connected boundary of genus g inside a large ball,
+    The change of the total a_3 when a conducting surface is inserted:
+    for a cavity with connected boundary of genus g inside a large ball,
     the three topological constants (cavity, complement shell, reference
-    ball) are -(g-1)/2, -g/2 and +1/2; they sum to -g, while the local
-    parts on the dividing surface double.  Hence delta a_3 =
-    2 * a3_local - g, which is also the number of modes gained at finite
-    frequency (Balian & Duplantier, Ann. Phys. 112 (1978) 165): the
-    generating-function difference tends to the plateau
-    ``delta_phi_constant`` = -2 * a3_local at high frequency, while its
-    zero-frequency limit ``psi_zero_plus`` is -g.
+    ball) are -(g-1)/2, -g/2 and +1/2, and cavity + shell - reference
+    sums to -g, while the local parts on the dividing surface double.
+    Hence ``count`` = delta a_3 = 2 * a3_local - g, which is also the
+    number of modes gained at finite frequency (Balian & Duplantier,
+    Ann. Phys. 112 (1978) 165): the generating-function difference tends
+    to the plateau ``delta_phi_constant`` = -2 * a3_local at high
+    frequency, while its zero-frequency limit ``psi(0+)`` is -g.
     """
-
-    genus: int
-    a3_local: float
-    nonlocal_parts: tuple
-    nonlocal_sum: Fraction
-    value: float
-
-    @property
-    def psi_zero_plus(self):
-        return -float(self.genus)
-
-    @property
-    def delta_phi_constant(self):
-        return -2.0 * self.a3_local
-
-    def as_dict(self):
-        """The ``mode_count`` block of a coefficient report."""
-        return {"a3_local": self.a3_local, "genus": self.genus,
-                "psi(0+)": self.psi_zero_plus,
-                "delta_phi_constant": self.delta_phi_constant,
-                "count": self.value}
-
-
-def delta_a3(topology: TopologyInfo, a3_local_value) -> DeltaA3:
     if not topology.connected_boundary:
         raise ValueError(
             "delta_a3 is defined for a connected dividing surface only")
     g = topology.genera[0]
-    parts = (-Fraction(g - 1, 2), -Fraction(g, 2), Fraction(1, 2))
-    # cavity + shell - reference
-    total = parts[0] + parts[1] - parts[2]
-    assert total == -g
     a3l = float(a3_local_value)
-    return DeltaA3(genus=g, a3_local=a3l, nonlocal_parts=parts,
-                   nonlocal_sum=total, value=2.0 * a3l - g)
+    return {"a3_local": a3l, "genus": g, "psi(0+)": -float(g),
+            "delta_phi_constant": -2.0 * a3l, "count": 2.0 * a3l - g}
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
-    """Large-k expansion of the mode generating function Phi(k).
+def phi_expansion(coeffs) -> dict:
+    """The ``phi_expansion`` block of a coefficient report.
 
+    The large-k expansion of the mode generating function,
     Phi(k) = 2 sqrt(pi) a0 i k^3 - sqrt(pi) a1 k^2 ln(-k^2)
              + i sqrt(pi) a2 k - a3 + O(1/k),
-    defined modulo polynomials in k^2, which makes the constant slot
+    is defined modulo polynomials in k^2, which makes the constant slot
     convention dependent; the resolvent normalisation above is reported
     as is.
     """
-
-    ik3: float
-    k2_log: float
-    ik: float
-    constant: float
-    caveat: str = ("defined modulo an arbitrary polynomial in k^2; the "
-                   "constant term follows the squared-resolvent route")
-
-    def as_dict(self):
-        return {"i*k^3": self.ik3, "k^2*ln(-k^2)": self.k2_log,
-                "i*k": self.ik, "constant": self.constant,
-                "caveat": self.caveat}
-
-
-def phi_expansion(coeffs) -> PhiExpansion:
     sqpi = math.sqrt(math.pi)
-    return PhiExpansion(
-        ik3=2.0 * sqpi * coeffs[0],
-        k2_log=-sqpi * coeffs[1],
-        ik=sqpi * coeffs[2],
-        constant=-coeffs[3],
-    )
+    return {"i*k^3": 2.0 * sqpi * coeffs[0], "k^2*ln(-k^2)": -sqpi * coeffs[1],
+            "i*k": sqpi * coeffs[2], "constant": -coeffs[3],
+            "caveat": "defined modulo an arbitrary polynomial in k^2; the "
+                      "constant term follows the squared-resolvent route"}

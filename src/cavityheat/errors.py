@@ -8,11 +8,13 @@ layer re-exports the classes it raises under its own name.
 
 class NumericalError(Exception):
     """A numerical failure, as opposed to a usage error; the command line
-    exits 2 with ``diagnostics`` on standard error."""
+    exits 2 with ``diagnostics`` on standard error: the dict it was given,
+    else ``{"type": <class name>}``."""
 
-    @property
-    def diagnostics(self):
-        return {"type": type(self).__name__}
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = ({"type": type(self).__name__}
+                            if diagnostics is None else diagnostics)
 
 
 class ChartError(ValueError):
@@ -55,12 +57,8 @@ class CutoffTooLowError(NumericalError, ValueError):
     """The requested trace needs modes beyond the enumeration cutoff."""
 
     def __init__(self, message, minimum_usable):
-        super().__init__(message)
+        super().__init__(message, {"minimum_usable": minimum_usable})
         self.minimum_usable = minimum_usable
-
-    @property
-    def diagnostics(self):
-        return {"minimum_usable": self.minimum_usable}
 
 
 class BracketError(NumericalError, RuntimeError):

@@ -54,20 +54,12 @@ class SurfaceModel:
     name: str
     charts: tuple
     topology: TopologyInfo
-    chart_components: tuple = None
     closed_form_area: float = None
     closed_form_volume: float = None
 
     def __post_init__(self):
         if not self.charts:
             raise ChartError("a surface model needs at least one chart")
-        if self.chart_components is None:
-            object.__setattr__(self, "chart_components",
-                               tuple(1 for _ in self.charts))
-        if len(self.chart_components) != len(self.charts):
-            raise ChartError("chart_components must match charts")
-        if max(self.chart_components) > self.topology.components:
-            raise ChartError("chart assigned to an undeclared component")
 
 
 def sphere(radius=1.0) -> SurfaceModel:

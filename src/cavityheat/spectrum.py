@@ -612,7 +612,11 @@ class ModeList:
                                      "its header") from None
                 for (name, convert), values in zip(_CSV_TYPES.items(),
                                                    zip(*picked)):
-                    columns[name].extend(map(convert, values))
+                    try:
+                        columns[name].extend(map(convert, values))
+                    except ValueError as err:
+                        raise ValueError(f"{path.name}: {name!r} column: "
+                                         f"{err}") from None
         modes = None
         try:
             modes = cls(lam=np.array(columns.pop("lambda")), radius=radius,

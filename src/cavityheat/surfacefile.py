@@ -192,18 +192,15 @@ def loads_surface(text, name="surface") -> SurfaceModel:
     except ValueError as err:
         raise SurfaceFileError(str(err), genera_line) from None
     built = []
-    comp_idx = []
     for k, blk in enumerate(charts):
         if not 1 <= blk.component <= topology.components:
             raise SurfaceFileError(
                 f"chart component must be in 1..{topology.components}",
                 blk.line)
         built.append(_build_chart(blk, f"{meta['name']}[{k}]"))
-        comp_idx.append(blk.component)
     return SurfaceModel(
         name=meta["name"],
         charts=tuple(built),
-        chart_components=tuple(comp_idx),
         topology=topology,
     )
 

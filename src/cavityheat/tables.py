@@ -157,7 +157,7 @@ def consistency_report(topology, table=TABLE):
 
     forms = [form_exact(p, table) for p in range(4)]
     harmonic = harmonic_form_dims(topology)
-    euler = sum(1 - g for g in topology.genera)
+    euler = topology.euler_sum()
 
     def diff(route, n, slot):
         hi, lo = _ROUTES[route][:2]

@@ -260,11 +260,11 @@ def test_criterion_8_mode_count(store):
         assert a3l.value == pytest.approx(0.125, rel=1e-10)
 
         report = delta_a3(TopologyInfo(1, (0,)), a3l.value)
-        assert report.value == pytest.approx(0.25, rel=1e-10)
+        assert report["count"] == pytest.approx(0.25, rel=1e-10)
 
         # the alternative printed normalisation is reported separately,
         # never substituted: for the ball it gives pi/32, not 1/8
         variant = a3_local_kappa_variant(moments)
         assert variant.value == pytest.approx(math.pi / 32, rel=1e-10)
         assert abs(variant.value - a3l.value) > 0.02
-        assert report.a3_local == a3l.value
+        assert report["a3_local"] == a3l.value

@@ -183,6 +183,7 @@ class TestUsageErrors:
         ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,-4,1,", 1)),
         ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,1,0,", 1)),
         ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,0,1,", 1)),
+        ("csv", lambda text: text.replace("\nTM,1,1,", "\nTM,1.5,1,", 1)),
         ("meta", lambda meta: {**meta, "radius": -1}),
         ("meta", lambda meta: {k: v for k, v in meta.items()
                                if k != "omega_max"}),
@@ -194,6 +195,7 @@ class TestUsageErrors:
         ("meta-text", lambda text: "[" * 200_000),
     ], ids=["nan-lambda", "inf-lambda", "unknown-family", "long-family",
             "missing-column", "short-row", "negative-l", "zero-m", "em-l-0",
+            "fractional-l",
             "negative-radius", "missing-key", "null-radius",
             "not-an-object", "malformed-json", "string-radius", "bool-radius",
             "deep-nesting"])

@@ -151,12 +151,11 @@ def test_numerical_classes_share_one_base(name, base):
 
 
 def test_usage_classes_are_not_numerical():
-    from cavityheat.cli import ToleranceFailure
-
-    assert issubclass(ToleranceFailure, errors.NumericalError)
     for cls in (errors.ChartError, errors.ExpressionError,
                 errors.SurfaceFileError):
         assert not issubclass(cls, errors.NumericalError)
     assert errors.CutoffTooLowError("m", 0.5).diagnostics == {
         "minimum_usable": 0.5}
     assert errors.BracketError("m").diagnostics == {"type": "BracketError"}
+    err = errors.NumericalError("m", {"failures": ["x"]})
+    assert (str(err), err.diagnostics) == ("m", {"failures": ["x"]})
