@@ -32,7 +32,7 @@ def kappas(g):
 
 print("== pointwise curvature ==")
 ball = sphere(1.0)
-c = curvature_grid(ball.charts[0], 1.1, 0.7, order=4)
+c = curvature_grid(ball.charts[0], 1.1, 0.7)
 print(f"unit sphere: tr L = {c['trL']:.12f}  det L = {c['detL']:.12f}  "
       "kappas = ({:.6f}, {:.6f})".format(*kappas(c)))
 print(f"             |grad tr L| = {math.sqrt(c['grad_trL_sq']):.2e}  "
@@ -56,7 +56,7 @@ for model, vol in ((ball, 4 * math.pi / 3),
 
 print("\n== total curvature vs topology ==")
 def det_L(chart, U, V):
-    return curvature_grid(chart, U, V)["detL"]
+    return curvature_grid(chart, U, V, names=("detL",))["detL"]
 
 for model in (ball, ellipsoid(1.0, 1.3, 1.7), ring):
     total = surface_integral(model, det_L, quad)
@@ -74,10 +74,10 @@ b = trL_lap_trL_integral(egg, quad).value
 print(f"ellipsoid: integral |grad tr L|^2     = {a:+.9f}")
 print(f"           integral tr L * lap tr L   = {b:+.9f}")
 print(f"           sum (must vanish)          = {a + b:+.2e}")
-# both integrands come from one embedding jet per grid: order 3 carries
-# |grad tr L|^2, order 4 adds lap tr L
+# each grid takes one embedding jet, of the order its fields need:
+# order 3 carries |grad tr L|^2, and naming lap tr L raises it to 4
 U, V, _ = quad.grid(egg.charts[0])
-g = curvature_grid(egg.charts[0], U, V, order=4)
+g = curvature_grid(egg.charts[0], U, V, names=("grad_trL_sq", "lap_trL"))
 print(f"           on one order-4 grid: max |grad tr L|^2 = "
       f"{g['grad_trL_sq'].max():.4f}, max |lap tr L| = "
       f"{np.abs(g['lap_trL']).max():.4f}")

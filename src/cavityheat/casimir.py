@@ -198,8 +198,6 @@ def _next_order_sigma(gammas, remainder, sigma):
     to solve; any other error propagates.
     """
     g = np.asarray(gammas, dtype=float)
-    if len(g) < 12:
-        return sigma
     extended = np.column_stack([_scan_design(g), g * np.log(g), g])
     try:
         coef, err, *_ = weighted_power_fit(extended, remainder, sigma)

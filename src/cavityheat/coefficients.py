@@ -94,8 +94,7 @@ class GeometricMoments:
 
 def _boundary_fields(chart, U, V):
     """Area element and the ten boundary integrands from one grid."""
-    g = curvature_grid(chart, U, V, order=3,
-                       names=("w", "trL", "detL", "grad_trL_sq"))
+    g = curvature_grid(chart, U, V, names=("w", "trL", "detL", "grad_trL_sq"))
     t, d = g["trL"], g["detL"]
     return g["w"], {
         "area": np.ones_like(t), "trL": t, "trL2": t * t, "detL": d,

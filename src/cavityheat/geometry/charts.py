@@ -81,8 +81,6 @@ def _compile(node, names, variables):
                                      for a in args))
         try:
             value = ops[0](*args)
-        except ZeroDivisionError:
-            fail("division by zero", n)
         except OverflowError:
             fail("value overflows a float", n)
         except ValueError:

@@ -30,17 +30,16 @@ _BLOCK = 1 << 13
 # come from the heap, and a free heap top up to the second stays there
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
-# the fields of curvature_grid at each order, in the order it returns
-# them; the first eight need only first derivatives of the embedding
-_FIELDS = {2: ("r", "ru", "rv", "n", "w", "E", "F", "G",
-               "e", "f", "g2", "trL", "detL")}
-_FIELDS[3] = _FIELDS[2] + ("Hu", "Hv", "grad_trL_sq")
-_FIELDS[4] = _FIELDS[3] + ("lap_trL",)
-_FIRST_ORDER = frozenset(_FIELDS[2][:8])
+# the fields of curvature_grid, in the order it returns them, each with
+# the order of the embedding jet it needs
+_JET_ORDER = {**dict.fromkeys(("r", "ru", "rv", "n", "w", "E", "F", "G"), 1),
+              **dict.fromkeys(("e", "f", "g2", "trL", "detL"), 2),
+              **dict.fromkeys(("Hu", "Hv", "grad_trL_sq"), 3),
+              "lap_trL": 4}
 
 
-def _dot(a, b):
-    return (a * b).sum(0)
+def _dot(a, b, axis=0):
+    return (a * b).sum(axis)
 
 
 def _cross(a, b):
@@ -148,35 +147,31 @@ def _blockwise(fields, u, v, block=_BLOCK):
     return out
 
 
-def curvature_grid(chart: SurfaceChart, u, v, order=2, names=None):
+def curvature_grid(chart: SurfaceChart, u, v, names=None):
     """Evaluate the surface fields at an array of parameter points.
 
     u and v broadcast against each other (a quadrature grid passes its
-    open mesh).  Returns a dict of arrays.  ``order`` is 2, 3 or 4:
-    order 2 gives position ``r``, area element ``w``, inward unit
-    normal ``n`` and the metric and shape data; order 3 adds the
-    parameter derivatives ``Hu, Hv`` of tr L and ``grad_trL_sq``, the
-    squared tangential gradient |grad tr L|^2; order 4 also adds
+    open mesh).  Returns a dict of arrays: the fields ``names`` selects,
+    or every field when it is None.  They are position ``r``, tangents
+    ``ru, rv``, inward unit normal ``n``, area element ``w`` and metric
+    ``E, F, G``; the second fundamental form ``e, f, g2``, ``trL`` and
+    ``detL``; the parameter derivatives ``Hu, Hv`` of tr L and
+    ``grad_trL_sq``, the squared tangential gradient |grad tr L|^2; and
     ``lap_trL``, the Laplace-Beltrami of tr L, lap f = (d_u P + d_v Q)
     / w with the metric fluxes P = (G f_u - F f_v)/w and
-    Q = (E f_v - F f_u)/w.
+    Q = (E f_v - F f_u)/w.  An unknown name raises ``ValueError``.
 
-    ``names``, if given, selects the fields returned; the others are
-    never assembled on the grid.  A name that ``order`` does not
-    provide raises ``ValueError``.  One embedding jet serves every
-    field: of order 1 when each name is one of ``r, ru, rv, n, w, E,
-    F, G``, which need only first derivatives, and of ``order``
-    otherwise.  The values do not depend on that choice.
+    One embedding jet serves every field, of the highest order a named
+    field needs (``_JET_ORDER``: 1 for the first eight, up to 4 for
+    ``lap_trL``).  The values do not depend on that order, and fields
+    not named are never assembled on the grid.
     """
-    if order not in _FIELDS:
-        raise ValueError(f"curvature order must be 2, 3 or 4, got {order!r}")
-    names = _FIELDS[order] if names is None else tuple(names)
-    unknown = [name for name in names if name not in _FIELDS[order]]
+    names = tuple(_JET_ORDER) if names is None else tuple(names)
+    unknown = [name for name in names if name not in _JET_ORDER]
     if unknown:
-        raise ValueError(f"no curvature field {unknown[0]!r} at order "
-                         f"{order}; expected one of "
-                         f"{', '.join(_FIELDS[order])}")
-    jet_order = 1 if _FIRST_ORDER.issuperset(names) else order
+        raise ValueError(f"no curvature field {unknown[0]!r}; expected one "
+                         f"of {', '.join(_JET_ORDER)}")
+    jet_order = max((_JET_ORDER[name] for name in names), default=1)
 
     def fields(u, v):
         s = surface_jets(chart, u, v, jet_order)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import jets
 from .charts import SurfaceChart
-from .curvature import _blockwise, surface_jets
+from .curvature import _blockwise, _dot, surface_jets
 
 __all__ = ["IdentityResiduals", "curvature_identity_residuals", "IDENTITY_NAMES"]
 
@@ -61,10 +61,6 @@ _ROUNDING = 64.0 * float(np.finfo(np.longdouble).eps)
 _SAFETY = 100.0
 # points per evaluation block, at about 16 KiB a point (tracemalloc)
 _BLOCK = 256
-
-
-def _dot(a, b, axis=0):
-    return (a * b).sum(axis)
 
 
 def _unit(a):

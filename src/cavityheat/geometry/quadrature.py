@@ -116,9 +116,6 @@ class Measurement:
     value: float
     error: float
 
-    def __float__(self):
-        return self.value
-
     def scaled(self, factor):
         return Measurement(self.value * factor, self.error * abs(factor))
 
@@ -202,8 +199,7 @@ def trL_lap_trL_integral(model: SurfaceModel,
     """
 
     def fields(chart, U, V):
-        g = curvature_grid(chart, U, V, order=4,
-                           names=("w", "trL", "lap_trL"))
+        g = curvature_grid(chart, U, V, names=("w", "trL", "lap_trL"))
         return g["w"], {"f": g["trL"] * g["lap_trL"]}
 
     return integrate(model, fields, quad)["f"]

@@ -154,7 +154,7 @@ def test_criterion_3_spectral_reproduction(store):
 def test_criterion_4_gauss_bonnet():
     with criterion(4, "total curvature at order 64 within 1e-8"):
         def det_L(chart, U, V):
-            return curvature_grid(chart, U, V)["detL"]
+            return curvature_grid(chart, U, V, names=("detL",))["detL"]
 
         # the refined level of an order-32 integral is the order-64 rule
         q32 = QuadratureSpec(order=32)

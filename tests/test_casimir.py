@@ -458,6 +458,18 @@ class TestRemainderScan:
         broken = remainder_scan(em60, pred.without("g_m1"), gammas)
         assert detection_z(clean, broken) > 5.0
 
+    @pytest.mark.parametrize("points", range(8, 13))
+    def test_short_scan_has_the_same_error_model(self, em60, ball_coeffs,
+                                                 points):
+        # the next-order error model serves a scan of any length: without
+        # it a clean 8- to 11-point scan read "divergent" at z 11 to 14
+        pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)
+        gammas = np.geomspace(1e-2, 5e-2, points)
+        clean = remainder_scan(em60, pred, gammas)
+        broken = remainder_scan(em60, pred.without("g_m1"), gammas)
+        assert clean.finite, clean.z_half
+        assert detection_z(clean, broken) > 5.0
+
     def test_detection_requires_matching_grids(self, em60, ball_coeffs):
         pred = divergence_prediction(ball_coeffs.values, RegulatorKind.HEAT)
         a = remainder_scan(em60, pred, np.geomspace(1e-3, 5e-2, 40))

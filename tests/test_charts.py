@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from cavityheat.geometry import (
+    ChartError,
     SingularChartError,
     SurfaceChart,
+    SurfaceModel,
+    TopologyInfo,
     curvature,
     curvature_grid,
     ellipsoid,
@@ -35,7 +38,7 @@ class TestSphere:
     def test_unit_sphere_curvature(self):
         chart = sphere(1.0).charts[0]
         for u, v in [(0.3, 0.1), (1.2, 2.2), (2.8, 5.9)]:
-            c = curvature_grid(chart, u, v, order=3)
+            c = curvature_grid(chart, u, v)
             assert c["trL"] == pytest.approx(2.0, abs=1e-12)
             assert c["detL"] == pytest.approx(1.0, abs=1e-12)
             assert kappas(c) == pytest.approx((1.0, 1.0), abs=1e-7)
@@ -55,7 +58,7 @@ class TestSphere:
 
     def test_laplacian_vanishes(self):
         chart = sphere(1.0).charts[0]
-        c = curvature_grid(chart, 1.3, 0.2, order=4)
+        c = curvature_grid(chart, 1.3, 0.2)
         assert abs(c["lap_trL"]) < 1e-9
 
 
@@ -112,8 +115,8 @@ class TestInvariants:
             periodic_v=True, normal_sign=-1, name="ellipsoid-reparam",
         )
         for u, v in [(0.7, 1.1), (1.9, 4.0)]:
-            a = curvature_grid(base, u, v, order=3)
-            b = curvature_grid(alt, u / 2, v - 1, order=3)
+            a = curvature_grid(base, u, v)
+            b = curvature_grid(alt, u / 2, v - 1)
             assert np.allclose(a["r"], b["r"], atol=1e-12)
             assert a["trL"] == pytest.approx(b["trL"], rel=1e-10)
             assert a["detL"] == pytest.approx(b["detL"], rel=1e-10)
@@ -132,10 +135,10 @@ class TestInvariants:
     def test_grid_matches_pointwise(self):
         chart = torus(2.0, 0.5).charts[0]
         U, V = np.meshgrid([0.3, 1.4], [0.5, 2.5], indexing="ij")
-        g = curvature_grid(chart, U, V, order=3)
+        g = curvature_grid(chart, U, V)
         for i in range(2):
             for j in range(2):
-                c = curvature_grid(chart, U[i, j], V[i, j], order=3)
+                c = curvature_grid(chart, U[i, j], V[i, j])
                 for name in ("trL", "detL", "grad_trL_sq"):
                     assert g[name][i, j] == pytest.approx(c[name], rel=1e-13)
 
@@ -153,7 +156,7 @@ class TestInvariants:
         lap = sp.diff(s * sp.diff(H, uu), uu) / (r0**2 * s)
         for u in [0.4, 1.3, 2.9, 4.4]:
             want = float(lap.subs(uu, u))
-            got = float(curvature_grid(chart, u, 0.7, order=4)["lap_trL"])
+            got = float(curvature_grid(chart, u, 0.7)["lap_trL"])
             assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
     def test_laplacian_sample_is_one_evaluation(self, monkeypatch):
@@ -165,5 +168,22 @@ class TestInvariants:
             return surface_jets(chart, u, v, order)
 
         monkeypatch.setattr(curvature, "surface_jets", counted)
-        sample = curvature_grid(torus(2.0, 0.5).charts[0], 0.4, 0.7, order=4)
+        sample = curvature_grid(torus(2.0, 0.5).charts[0], 0.4, 0.7)
         assert orders == [4] and np.isfinite(sample["lap_trL"])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SurfaceChart.from_expressions(
+        "u", "v", "0", u_range=(0, 1), v_range=(0, 1), normal_sign=0),
+     ChartError, "normal_sign must be"),
+    (lambda: sphere(1.0).charts[0].deriv(-1, 0),
+     ChartError, "derivative orders must be non-negative"),
+    (lambda: TopologyInfo(0, ()),
+     ValueError, "at least one boundary component"),
+    (lambda: SurfaceModel("empty", (), TopologyInfo(1, (0,))),
+     ChartError, "at least one chart"),
+], ids=["normal-sign-zero", "negative-derivative", "no-component",
+        "no-chart"])
+def test_invalid_arguments_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -14,6 +14,7 @@ import pytest
 
 import cavityheat.cli as cli
 import cavityheat.tables as tables
+from cavityheat.asymptotics import CONDITION_REPORT
 from cavityheat.casimir import (
     FINITE_Z,
     RegulatorKind,
@@ -488,6 +489,20 @@ class TestPipeline:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["a_n"]["a3"] == pytest.approx(0.625, abs=0.02)
         assert fit["a_n"]["a0"] == pytest.approx(0.18806, rel=2e-3)
+
+    def test_ill_conditioned_fit_notes_its_condition(self, tmp_path, capsys):
+        # a narrow t window leaves the fit near-degenerate: it still
+        # succeeds, and one stderr line says how ill-conditioned it is
+        assert run(tmp_path, "modes", "--omega-max", 40) == 0
+        assert run(tmp_path, "trace", "--modes", tmp_path / "modes_em.csv",
+                   "--t-lo", 0.05, "--t-hi", 0.09) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "fit", "--trace", tmp_path / "trace.csv") == 0
+        cond = json.loads((tmp_path / "fit.json").read_text())[
+            "fit"]["condition_number"]
+        assert cond > CONDITION_REPORT
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: condition number {cond:.3g}"]
 
     def test_trace_below_minimum_usable_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "modes", "--p", "em", "--omega-max", 40) == 0

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import cavityheat.coefficients as coefficients
 from cavityheat.coefficients import (
     GeometricMoments,
+    HeatCoefficientSet,
     Measurement,
     a3_local,
     a3_local_kappa_variant,
@@ -96,8 +97,8 @@ class TestMoments:
             self, model, monkeypatch):
         grid = coefficients.curvature_grid
 
-        def nan_at_one_node(chart, U, V, order=2, names=None):
-            g = dict(grid(chart, U, V, order=order, names=names))
+        def nan_at_one_node(chart, U, V, names=None):
+            g = dict(grid(chart, U, V, names=names))
             g["trL"] = np.array(g["trL"])
             g["trL"][1, 2] = np.nan
             return g
@@ -134,6 +135,10 @@ class TestEmCoefficients:
         coeffs = em_coefficients(ball_moments, TopologyInfo(1, (0,)))
         assert coeffs[1] == 0.0
         assert coeffs.errors[1] == 0.0
+
+    def test_five_values_rejected(self):
+        with pytest.raises(ValueError, match="need exactly a_0..a_5"):
+            HeatCoefficientSet("em", (1.0,) * 5, (0.0,) * 5)
 
     def test_genus_two_synthetic_topology_term(self):
         coeffs = em_coefficients(synthetic_moments(), TopologyInfo(1, (2,)))

@@ -21,6 +21,12 @@ POINTS = [(0.7, 1.3), (1.1, 0.4)]
 ORDER = 4
 
 
+def fields_up_to(order):
+    """Every curvature field whose jet order is at most ``order``."""
+    return tuple(name for name, k in curvature._JET_ORDER.items()
+                 if k <= order)
+
+
 @pytest.mark.parametrize("text", EXPRESSIONS)
 def test_coefficients_match_symbolic_derivatives(text):
     u, v = sp.symbols("u v")
@@ -82,11 +88,10 @@ def test_open_mesh_and_blocks_change_no_value(monkeypatch):
     chart = torus(2.0, 0.5).charts[0]
     U, V, _ = QuadratureSpec(order=8).grid(chart)
     assert U.shape == (16, 1) and V.shape == (1, 16)
-    sparse = curvature.curvature_grid(chart, U, V, order=4)
-    full = curvature.curvature_grid(chart, *np.broadcast_arrays(U, V),
-                                    order=4)
+    sparse = curvature.curvature_grid(chart, U, V)
+    full = curvature.curvature_grid(chart, *np.broadcast_arrays(U, V))
     monkeypatch.setattr(curvature, "_BLOCK", 40)
-    blocked = curvature.curvature_grid(chart, U, V, order=4)
+    blocked = curvature.curvature_grid(chart, U, V)
     for name, value in sparse.items():
         assert np.array_equal(value, full[name]), name
         assert np.array_equal(value, blocked[name]), name
@@ -102,26 +107,31 @@ def test_open_mesh_and_blocks_change_no_value(monkeypatch):
     (4, ("w", "trL", "lap_trL")),
 ])
 def test_named_fields_equal_the_full_grid(monkeypatch, order, names):
+    # the named fields, on the jet order they need, equal those of an
+    # order-``order`` grid and of the full order-4 grid
     chart = torus(2.0, 0.5).charts[0]
     U, V, _ = QuadratureSpec(order=8).grid(chart)
     monkeypatch.setattr(curvature, "_BLOCK", 40)    # eight blocks of 2 rows
-    full = curvature.curvature_grid(chart, U, V, order=order)
-    named = curvature.curvature_grid(chart, U, V, order=order, names=names)
+    full = curvature.curvature_grid(chart, U, V)
+    upto = curvature.curvature_grid(chart, U, V, names=fields_up_to(order))
+    named = curvature.curvature_grid(chart, U, V, names=names)
     assert tuple(named) == names
     for name in names:
         assert np.array_equal(named[name], full[name]), name
+        assert np.array_equal(named[name], upto[name]), name
 
 
 @pytest.mark.parametrize("order, names, jet_order", [
     (4, ("r", "n", "w", "E", "F", "G", "ru", "rv"), 1),
     (2, ("w", "e"), 2),
-    (3, ("w", "detL"), 3),
+    (3, ("w", "detL"), 2),
     (4, ("lap_trL",), 4),
-    (3, None, 3),
+    (3, None, 4),
 ])
 def test_jet_order_follows_the_names(monkeypatch, order, names, jet_order):
-    # first-order fields need an order-1 embedding jet; any other name
-    # takes the grid's own order
+    # one embedding jet, of the highest order a named field needs (every
+    # field when none is named); the fields up to an order take a jet of
+    # that order
     orders = []
     surface_jets = curvature.surface_jets
 
@@ -132,8 +142,9 @@ def test_jet_order_follows_the_names(monkeypatch, order, names, jet_order):
     monkeypatch.setattr(curvature, "surface_jets", counted)
     chart = torus(2.0, 0.5).charts[0]
     U, V, _ = QuadratureSpec(order=8).grid(chart)
-    curvature.curvature_grid(chart, U, V, order=order, names=names)
-    assert orders == [jet_order]
+    curvature.curvature_grid(chart, U, V, names=names)
+    curvature.curvature_grid(chart, U, V, names=fields_up_to(order))
+    assert orders == [jet_order, order]
 
 
 @pytest.mark.parametrize("shape", [(1, 40000), (4, 100, 100)])
@@ -142,12 +153,11 @@ def test_any_point_shape_runs_in_blocks(shape):
     # before it, so wide rows get the same memory bound as a flat list
     chart = torus(2.0, 0.5).charts[0]
     u, v = np.random.default_rng(6).uniform(0.0, 2 * np.pi, (2, 40000))
-    flat = curvature.curvature_grid(chart, u, v, order=3, names=("w",))
+    flat = curvature.curvature_grid(chart, u, v, names=("w",))
     tracemalloc.start()
     try:
         shaped = curvature.curvature_grid(chart, u.reshape(shape),
-                                          v.reshape(shape), order=3,
-                                          names=("w",))
+                                          v.reshape(shape), names=("w",))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,7 +167,7 @@ def test_any_point_shape_runs_in_blocks(shape):
 
 def test_zero_points_give_empty_fields():
     chart = torus(2.0, 0.5).charts[0]
-    g = curvature.curvature_grid(chart, np.array([]), np.array([]), order=4)
+    g = curvature.curvature_grid(chart, np.array([]), np.array([]))
     assert g["r"].shape == (3, 0)
     assert g["trL"].shape == g["lap_trL"].shape == (0,)
 
@@ -165,15 +175,8 @@ def test_zero_points_give_empty_fields():
 def test_unknown_field_name_raises():
     chart = torus(2.0, 0.5).charts[0]
     U, V, _ = QuadratureSpec(order=8).grid(chart)
-    with pytest.raises(ValueError, match="'lap_trL' at order 3"):
-        curvature.curvature_grid(chart, U, V, order=3,
-                                 names=("w", "lap_trL"))
-    # checked against the order asked for, not the order-1 jet that
-    # would serve the first-order names
-    with pytest.raises(ValueError, match="'Hu' at order 2"):
-        curvature.curvature_grid(chart, U, V, order=2, names=("w", "Hu"))
-    with pytest.raises(ValueError, match="order must be 2, 3 or 4"):
-        curvature.curvature_grid(chart, U, V, order=1, names=("w",))
+    with pytest.raises(ValueError, match="no curvature field 'kappa'"):
+        curvature.curvature_grid(chart, U, V, names=("w", "kappa"))
 
 
 def test_first_order_grid_checks_for_singular_charts():

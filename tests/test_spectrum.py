@@ -783,6 +783,17 @@ class TestModeListPlumbing:
         assert (got.note, got.omega_max, got.radius) == (
             f"p{p}", want.omega_max, want.radius)
 
+    @pytest.mark.parametrize("p, scalar", [(0, dirichlet_modes),
+                                           (3, neumann_modes)])
+    def test_scalar_form_degrees_are_the_scalar_lists(self, p, scalar):
+        got, want = form_modes(p, 20.0), scalar(20.0)
+        for column in ("family", "l", "m", "multiplicity", "lam"):
+            assert same_bits(getattr(got, column), getattr(want, column))
+
+    def test_form_degree_out_of_range(self):
+        with pytest.raises(ValueError, match="form degree must be 0..3"):
+            form_modes(4, 20.0)
+
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError, match="zero or negative"):
             single_mode(lam=0.0)

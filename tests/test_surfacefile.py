@@ -62,7 +62,9 @@ class TestParsing:
         assert enclosed_volume(model, q).value == pytest.approx(
             4 * math.pi * 1.0 * 1.3 * 1.7 / 3, rel=1e-10)
         total = surface_integral(
-            model, lambda ch, U, V: curvature_grid(ch, U, V)["detL"], q)
+            model,
+            lambda ch, U, V: curvature_grid(ch, U, V, names=("detL",))["detL"],
+            q)
         assert total.value == pytest.approx(4 * math.pi, abs=1e-9)
 
     def test_torus_genus_declared(self):
@@ -166,6 +168,7 @@ VALUE_ERRORS = {
     "div-zero": (with_line("param a 1/0"), "division by zero", 4, 9),
     "domain-error": (with_line("param a sqrt(-1)"), "math domain", 4, 9),
     "overflow": (with_line("param a 2^2^2^2^2"), "overflows", 4, 9),
+    "function-overflow": (with_line("param a exp(1000)"), "overflows", 4, 9),
     "non-finite": (with_line("param a 1e308*10"), "non-finite", 4, 9),
     "bool": (with_line("param a True"), "unsupported literal True", 4, 9),
     # the name 'a' also occurs inside the keyword 'param'
@@ -233,8 +236,9 @@ def test_parameter_names_are_free_identifiers(line, problem, lineno,
     assert (err.value.line, err.value.column) == (lineno, column)
 
 
-# a word that also occurs inside the keyword before it is reported at
-# its own column: (file, message, line number, column)
+# an error is reported at the word it concerns, even a word that also
+# occurs inside the keyword before it, and a missing part at the line
+# that needs it: (file, message, line number, column)
 WORD_COLUMNS = {
     "domain-lo": (with_line("", "  domain u a pi"), "unknown name 'a'", 8, 12),
     "domain-hi": (with_line("", "  domain u 0 a"), "unknown name 'a'", 8, 14),
@@ -250,6 +254,18 @@ WORD_COLUMNS = {
                                                 "  components 1 2"),
                          "expected: components <integer>", 2, 3),
     "expression": (with_line("", "  x x"), "unknown name 'x'", 8, 5),
+    "two-arguments": (with_line("", "  x sin(u, v)"),
+                      "sin takes exactly one argument", 8, 5),
+    "comparison": (with_line("", "  x u < v"),
+                   r"unsupported syntax \(Compare\)", 8, 5),
+    "name-empty": (with_line("name"), "name needs a value", 4, 1),
+    "genera-empty": (with_line("").replace("genera 0", "genera"),
+                     "genera needs at least one integer", 3, 1),
+    "x-empty": (with_line("", "  x"), "x needs an expression", 8, 3),
+    "no-domain-v": (with_line("").replace("  domain v 0 2*pi\n", ""),
+                    "chart is missing 'domain v'", 5, 1),
+    "no-chart": ("schema 1\ncomponents 1\ngenera 0\n",
+                 "no chart blocks found", 1, 1),
 }
 
 

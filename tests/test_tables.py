@@ -142,6 +142,11 @@ class TestBallRationalValues:
         assert Fraction(97, 960) - Fraction(47, 480) == Fraction(1, 320)
 
 
+def test_form_exact_rejects_degree_4():
+    with pytest.raises(ValueError, match="form degree must be 0..3"):
+        form_exact(4)
+
+
 def test_harmonic_dims():
     assert harmonic_form_dims(TopologyInfo(1, (0,))) == (0, 0, 0, 1)
     assert harmonic_form_dims(TopologyInfo(2, (1, 3))) == (0, 1, 4, 1)
